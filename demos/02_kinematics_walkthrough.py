@@ -2,12 +2,13 @@
 
 Velocity accumulates pulls toward the agent's own best memory and toward the
 best visible member, decays with inertia, is clamped, and then sets per-bit
-flip probabilities through the logistic transfer.
+flip probabilities through the logistic transfer: bit d becomes 1 when a
+uniform draw u_d falls below sigmoid(v_d), as the engine's step does.
 """
 
 import numpy as np
 
-from orgswarm import clamp_velocity, sigmoid, update_position, update_velocity
+from orgswarm import clamp_velocity, sigmoid, update_velocity
 
 rng = np.random.default_rng(7)
 
@@ -30,7 +31,7 @@ for t in range(1, 6):
                                inertia, self_belief, prestige_bias)
     velocity = clamp_velocity(velocity, v_max)
     probs = sigmoid(velocity)
-    position = update_position(position, velocity, rng)
+    position = (rng.random(position.shape) < probs).astype(np.int8)
     print(f"t={t}  velocity {np.round(velocity, 2).tolist()}")
     print(f"     P(bit=1) {np.round(probs, 3).tolist()}")
     print(f"     position {position.tolist()}")

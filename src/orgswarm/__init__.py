@@ -8,41 +8,34 @@ package measures iterations-to-goal per agent and per group across seeded,
 reproducible replicates.
 """
 
-from .engine import (Agent, ReplicateResult, SimConfig, SwarmState,
-                     derive_replicate_seed, init_swarm, replicate_rng,
-                     run_replicate, step)
+from .engine import (ReplicateResult, SimConfig, SwarmState, derive_replicate_seed,
+                     init_swarm, replicate_rng, run_replicate, step)
 from .errors import (ConfigError, DimensionMismatchError, InvalidParameterError,
                      InvariantViolation, OrgswarmError)
 from .experiment import (Arm, ExperimentOutput, ExperimentSpec, parse_config,
                          parse_config_dict, run_experiment, serialize_spec,
                          with_overrides)
-from .kinematics import (CoefficientTriple, clamp_velocity, sigmoid,
-                         update_position, update_velocity)
-from .policies import (PolicyState, Tendency, feedback_signal, perceptive_update,
-                       pressure, reactive_update)
+from .kinematics import clamp_velocity, sigmoid, update_velocity
+from .policies import Tendency, pressure
 from .stats import (ArmComparison, ArmSummary, MannWhitneyResult, aggregate_arm,
-                    compare_arms, first_hit_iteration, mann_whitney_u)
+                    compare_arms, mann_whitney_u)
 from .strategy import (fitness, fitness_many, from_bitstring, hamming_distance,
                        random_position, random_positions, to_bitstring)
 from .topology import (DesignKind, OrgDesign, SiloAssignment, build_assignment,
-                       neighborhood_best, neighborhood_best_all, reshuffle,
-                       silo_leaders)
+                       reshuffle, silo_leaders)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent", "Arm", "ArmComparison", "ArmSummary", "CoefficientTriple",
-    "ConfigError", "DesignKind", "DimensionMismatchError", "ExperimentOutput",
-    "ExperimentSpec", "InvalidParameterError", "InvariantViolation",
-    "MannWhitneyResult", "OrgDesign", "OrgswarmError", "PolicyState",
-    "ReplicateResult", "SiloAssignment", "SimConfig", "SwarmState", "Tendency",
-    "aggregate_arm", "build_assignment", "clamp_velocity", "compare_arms",
-    "derive_replicate_seed", "feedback_signal", "first_hit_iteration", "fitness",
+    "Arm", "ArmComparison", "ArmSummary", "ConfigError", "DesignKind",
+    "DimensionMismatchError", "ExperimentOutput", "ExperimentSpec",
+    "InvalidParameterError", "InvariantViolation", "MannWhitneyResult",
+    "OrgDesign", "OrgswarmError", "ReplicateResult", "SiloAssignment",
+    "SimConfig", "SwarmState", "Tendency", "aggregate_arm", "build_assignment",
+    "clamp_velocity", "compare_arms", "derive_replicate_seed", "fitness",
     "fitness_many", "from_bitstring", "hamming_distance", "init_swarm",
-    "mann_whitney_u", "neighborhood_best", "neighborhood_best_all",
-    "parse_config", "parse_config_dict", "perceptive_update", "pressure",
-    "random_position", "random_positions", "reactive_update", "replicate_rng",
-    "reshuffle", "run_experiment", "run_replicate", "serialize_spec",
-    "sigmoid", "silo_leaders", "step", "to_bitstring", "update_position",
+    "mann_whitney_u", "parse_config", "parse_config_dict", "pressure",
+    "random_position", "random_positions", "replicate_rng", "reshuffle", "run_experiment", "run_replicate",
+    "serialize_spec", "sigmoid", "silo_leaders", "step", "to_bitstring",
     "update_velocity", "with_overrides", "__version__",
 ]

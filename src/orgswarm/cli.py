@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, InvariantViolation
-from .experiment import parse_config, run_experiment, with_overrides
+from .experiment import TRACE_LEVELS, parse_config, run_experiment, with_overrides
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replicates per arm override")
     run_p.add_argument("--workers", type=int, default=None,
                        help="worker process count")
-    run_p.add_argument("--trace", choices=("none", "group", "full"), default=None,
+    run_p.add_argument("--trace", choices=TRACE_LEVELS, default=None,
                        help="trace verbosity override")
 
     val_p = sub.add_parser("validate", help="parse and validate a config")

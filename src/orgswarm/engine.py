@@ -20,13 +20,13 @@ at least once (group convergence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, InvariantViolation
-from .kinematics import CoefficientTriple, clamp_velocity, sigmoid, update_velocity
-from .policies import PolicyState, Tendency, perceptive_shift, reactive_shift
+from .errors import ConfigError, InvalidParameterError, InvariantViolation, is_int, is_real
+from .kinematics import clamp_velocity, sigmoid, update_velocity
+from .policies import Tendency, perceptive_shift, reactive_shift
 from .strategy import BIT_DTYPE, fitness_many, random_position, random_positions
 from .topology import (DesignKind, OrgDesign, SiloAssignment, build_assignment,
                        reshuffle, silo_leaders)
@@ -34,7 +34,7 @@ from .topology import (DesignKind, OrgDesign, SiloAssignment, build_assignment,
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 GBEST_MODES = ("historical", "instantaneous")
-BINARIZATIONS = ("sigmoid-stochastic",)
+TRACE_LEVELS = ("none", "group", "full")
 
 
 def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:
@@ -54,92 +54,85 @@ def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator
         np.random.Philox(key=derive_replicate_seed(master_seed, replicate_index)))
 
 
+def _param(need: str, ok, default=MISSING):
+    """A :class:`SimConfig` field whose valid values satisfy ``ok``; ``need``
+    describes them in error messages."""
+    return field(default=default, metadata={"need": need, "ok": ok})
+
+
+def _count(default):
+    return _param("integer >= 1", lambda v: is_int(v) and v >= 1, default)
+
+
+def _positive(default):
+    return _param("positive real", lambda v: is_real(v) and v > 0, default)
+
+
+def _pair(default):
+    return _param("[low, high] pair of reals with low <= high",
+                  lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
+                             and all(map(is_real, v)) and v[0] <= v[1]), default)
+
+
+def _flag(default):
+    return _param("true or false", lambda v: isinstance(v, bool), default)
+
+
 @dataclass
 class SimConfig:
-    """Full parameterization of one experimental arm."""
+    """Full parameterization of one experimental arm.
 
-    master_seed: int
-    design: OrgDesign
-    tendency: Tendency
-    dim: int = 25
-    agents: int = 20
-    max_iterations: int = 1000
-    replicates: int = 200
-    v_max: float = 4.0
-    delta: float = 0.1
-    alpha: float = 0.1
-    pressure_horizon: int | None = None
-    coeff_min: float = 0.0
-    coeff_max: float = 2.0
-    inertia_init: tuple[float, float] = (0.9, 0.95)
-    self_belief_init: tuple[float, float] = (0.5, 1.5)
-    prestige_bias_init: tuple[float, float] = (1.5, 2.0)
-    gbest_mode: str = "historical"
-    stochastic_acceleration: bool = False
-    binarization: str = "sigmoid-stochastic"
-    freeze_on_goal: bool = False
+    Each field states its default and its valid values once; :meth:`validate`
+    and the JSON config parser (:mod:`orgswarm.experiment`) derive theirs
+    from :func:`dataclasses.fields`.
+    """
+
+    master_seed: int = _param("u64", lambda v: is_int(v) and 0 <= v < 2 ** 64)
+    design: OrgDesign = _param("OrgDesign", lambda v: isinstance(v, OrgDesign))
+    tendency: Tendency = _param("reactive|perceptive", lambda v: isinstance(v, Tendency))
+    dim: int = _count(25)
+    agents: int = _count(20)
+    max_iterations: int = _count(1000)
+    replicates: int = _count(200)
+    v_max: float = _positive(4.0)
+    delta: float = _positive(0.1)
+    alpha: float = _param("real in (0, 1]", lambda v: is_real(v) and 0 < v <= 1, 0.1)
+    # None means max(1, max_iterations // 4)
+    pressure_horizon: int | None = _count(None)
+    coeff_min: float = _param("real", is_real, 0.0)
+    coeff_max: float = _param("real", is_real, 2.0)
+    inertia_init: tuple[float, float] = _pair((0.9, 0.95))
+    self_belief_init: tuple[float, float] = _pair((0.5, 1.5))
+    prestige_bias_init: tuple[float, float] = _pair((1.5, 2.0))
+    gbest_mode: str = _param(f"one of {GBEST_MODES}", lambda v: v in GBEST_MODES,
+                             "historical")
+    stochastic_acceleration: bool = _flag(False)
+    freeze_on_goal: bool = _flag(False)
 
     def __post_init__(self):
-        if self.pressure_horizon is None:
+        if self.pressure_horizon is None and is_int(self.max_iterations):
             self.pressure_horizon = max(1, self.max_iterations // 4)
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming every offending field."""
-        bad: list[str] = []
-        if not isinstance(self.master_seed, int) or not (0 <= self.master_seed < 2 ** 64):
-            bad.append(f"master_seed (u64 required, got {self.master_seed})")
-        for name, lo in (("dim", 1), ("agents", 1), ("max_iterations", 1),
-                         ("replicates", 1), ("pressure_horizon", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < lo:
-                bad.append(f"{name} (integer >= {lo} required, got {v})")
-        if not (np.isfinite(self.v_max) and self.v_max > 0):
-            bad.append(f"v_max (positive real required, got {self.v_max})")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            bad.append(f"delta (positive real required, got {self.delta})")
-        if not (np.isfinite(self.alpha) and 0 < self.alpha <= 1):
-            bad.append(f"alpha (in (0, 1] required, got {self.alpha})")
-        if not (np.isfinite(self.coeff_min) and np.isfinite(self.coeff_max)
-                and self.coeff_min <= self.coeff_max):
-            bad.append(f"coeff bounds (min <= max required, got "
-                       f"[{self.coeff_min}, {self.coeff_max}])")
-        else:
-            for name in ("inertia_init", "self_belief_init", "prestige_bias_init"):
-                rng_pair = getattr(self, name)
-                try:
-                    lo, hi = float(rng_pair[0]), float(rng_pair[1])
-                except (TypeError, ValueError, IndexError):
-                    bad.append(f"{name} (pair of reals required, got {rng_pair})")
-                    continue
-                if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi
-                        and self.coeff_min <= lo and hi <= self.coeff_max):
-                    bad.append(f"{name} (range within [{self.coeff_min}, "
-                               f"{self.coeff_max}] required, got [{lo}, {hi}])")
-        if not isinstance(self.design, OrgDesign):
-            bad.append(f"design (OrgDesign required, got {self.design!r})")
-        elif isinstance(self.agents, int) and self.agents >= 1:
-            bad.extend(self.design.validate(self.agents))
-        if not isinstance(self.tendency, Tendency):
-            bad.append(f"tendency (reactive|perceptive required, got {self.tendency!r})")
-        if self.gbest_mode not in GBEST_MODES:
-            bad.append(f"gbest_mode (one of {GBEST_MODES}, got {self.gbest_mode!r})")
-        if self.binarization not in BINARIZATIONS:
-            bad.append(f"binarization (one of {BINARIZATIONS}, got {self.binarization!r})")
+        bad = {f.name: f"{f.name} ({f.metadata['need']} required, "
+                       f"got {getattr(self, f.name)!r})"
+               for f in fields(self) if not f.metadata["ok"](getattr(self, f.name))}
+        lo, hi = self.coeff_min, self.coeff_max
+        if not bad.keys() & {"coeff_min", "coeff_max"}:
+            if lo > hi:
+                bad["coeff_max"] = f"coeff bounds (min <= max required, got [{lo}, {hi}])"
+            else:
+                for name in ("inertia_init", "self_belief_init", "prestige_bias_init"):
+                    pair = getattr(self, name)
+                    if name not in bad and not (lo <= pair[0] and pair[1] <= hi):
+                        bad[name] = (f"{name} (range within [{lo}, {hi}] required, "
+                                     f"got [{pair[0]}, {pair[1]}])")
+        if not bad.keys() & {"design", "agents"}:
+            bad.update(self.design.validate(self.agents))
         if bad:
-            raise ConfigError("invalid config: " + "; ".join(bad), fields=bad)
-
-
-@dataclass
-class Agent:
-    """Snapshot view of one agent's state (for inspection and tests)."""
-
-    index: int
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: int
-    coeffs: CoefficientTriple
-    policy: PolicyState
+            raise ConfigError("invalid config: " + "; ".join(bad.values()),
+                              fields=list(bad))
 
 
 @dataclass
@@ -166,23 +159,6 @@ class SwarmState:
     trace_best: list = field(default_factory=list)
     trace_mean: list = field(default_factory=list)
     full_rows: list | None = None
-    _members: list = field(default_factory=list)
-
-    def agent(self, i: int) -> Agent:
-        return Agent(
-            index=i,
-            position=self.positions[i].copy(),
-            velocity=self.velocities[i].copy(),
-            pbest_position=self.pbest_positions[i].copy(),
-            pbest_fitness=int(self.pbest_fitness[i]),
-            coeffs=CoefficientTriple(float(self.inertia[i]),
-                                     float(self.self_belief[i]),
-                                     float(self.prestige_bias[i])),
-            policy=PolicyState(tendency=self.config.tendency,
-                               last_fitness=int(self.last_fitness[i]),
-                               pressure_horizon=self.config.pressure_horizon,
-                               feedback_ema=float(self.feedback_ema[i])),
-        )
 
     def _record_full_row(self):
         self.full_rows.append((
@@ -250,7 +226,6 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
         assignment=assignment,
         first_hit=first_hit,
     )
-    state._members = assignment.members()
     if (first_hit >= 0).all():
         state.group_convergence = 0
     if collect_full_trace:
@@ -272,19 +247,14 @@ def step(state: SwarmState, t: int) -> SwarmState:
         raise InvalidParameterError(f"expected iteration {state.t + 1}, got {t}")
 
     design = cfg.design
-    if (design.kind is DesignKind.DYNAMIC and design.reshuffle_interval
-            and t % design.reshuffle_interval == 0):
+    if design.kind is DesignKind.DYNAMIC and t % design.reshuffle_interval == 0:
         state.assignment = reshuffle(state.assignment, state.rng)
-        state._members = state.assignment.members()
 
     if cfg.gbest_mode == "historical":
         ref_fit, ref_pos = state.pbest_fitness, state.pbest_positions
     else:
         ref_fit, ref_pos = state.fitness, state.positions
-    leaders = np.empty(state.assignment.silo_count, dtype=np.int64)
-    for silo, members in enumerate(state._members):
-        leaders[silo] = members[np.argmin(ref_fit[members])]
-    gbest = ref_pos[leaders[state.assignment.silo_of]]
+    gbest = ref_pos[silo_leaders(state.assignment, ref_fit)[state.assignment.silo_of]]
 
     c1 = state.self_belief[:, None]
     c2 = state.prestige_bias[:, None]
@@ -348,11 +318,11 @@ def step(state: SwarmState, t: int) -> SwarmState:
 def run_replicate(config: SimConfig, replicate_index: int,
                   trace_level: str = "group") -> ReplicateResult:
     """Run one seeded replicate to group convergence or the iteration budget."""
-    if trace_level not in ("none", "group", "full"):
+    if trace_level not in TRACE_LEVELS:
         raise InvalidParameterError(f"trace_level must be none|group|full, got {trace_level}")
     seed = derive_replicate_seed(config.master_seed, replicate_index)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    state = init_swarm(config, rng, collect_full_trace=(trace_level == "full"))
+    state = init_swarm(config, replicate_rng(config.master_seed, replicate_index),
+                       collect_full_trace=(trace_level == "full"))
     initial_best = int(state.fitness.min())
     initial_mean = float(state.fitness.mean())
     while state.group_convergence is None and state.t < config.max_iterations:

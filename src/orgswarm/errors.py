@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the value-type checks shared across the package."""
+
+import sys
 
 
 class OrgswarmError(Exception):
@@ -27,3 +29,14 @@ class ConfigError(OrgswarmError, ValueError):
 
 class InvariantViolation(OrgswarmError, RuntimeError):
     """An internal simulation invariant was broken (should be unreachable)."""
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite int or float that is not a bool (nan and huge ints fail too)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)

@@ -21,47 +21,30 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .engine import (BINARIZATIONS, GBEST_MODES, ReplicateResult, SimConfig,
-                     run_replicate)
-from .errors import ConfigError, InvariantViolation
+from .engine import TRACE_LEVELS, ReplicateResult, SimConfig, run_replicate
+from .errors import ConfigError, InvariantViolation, is_int
 from .policies import Tendency
 from .stats import (ArmComparison, ArmSummary, aggregate_arm, censored_values,
                     compare_arms, convergence_values)
 from .strategy import to_bitstring
 from .topology import DesignKind, OrgDesign
 
-TRACE_LEVELS = ("none", "group", "full")
-
-_GLOBAL_DEFAULTS = {
-    "dim": 25,
-    "agents": 20,
-    "max_iterations": 1000,
-    "replicates": 200,
-    "v_max": 4.0,
-    "delta": 0.1,
-    "alpha": 0.1,
-    "silo_count": 5,
-    "reshuffle_interval": 10,
-    "pressure_horizon": None,
-    "coeff_min": 0.0,
-    "coeff_max": 2.0,
-    "inertia_init": (0.9, 0.95),
-    "self_belief_init": (0.5, 1.5),
-    "prestige_bias_init": (1.5, 2.0),
-    "gbest_mode": "historical",
-    "stochastic_acceleration": False,
-    "binarization": "sigmoid-stochastic",
-    "freeze_on_goal": False,
-}
-
-_TOP_LEVEL_KEYS = set(_GLOBAL_DEFAULTS) | {"master_seed", "out_dir", "trace",
-                                           "workers", "arms"}
-_ARM_KEYS = set(_GLOBAL_DEFAULTS) | {"design", "tendency", "label"}
+# SimConfig fields a config sets globally or per arm; absent ones keep the
+# SimConfig default.
+_PARAMS = tuple(f.name for f in fields(SimConfig) if f.default is not MISSING)
+# OrgDesign parameters; absent ones keep the OrgDesign.siloed/dynamic default.
+_DESIGN_PARAMS = ("silo_count", "reshuffle_interval")
+# Accepted for configs written when this was a field; it has one legal value.
+_BINARIZATION = "sigmoid-stochastic"
+_SHARED_KEYS = {*_PARAMS, *_DESIGN_PARAMS, "binarization"}
+_TOP_LEVEL_KEYS = _SHARED_KEYS | {"master_seed", "out_dir", "trace", "workers", "arms"}
+_ARM_KEYS = _SHARED_KEYS | {"design", "tendency", "label"}
+_LABEL_FORBIDDEN = "/\\,\n\r\0"
 
 
 @dataclass
@@ -78,8 +61,7 @@ class ExperimentSpec:
     workers: int | None = None
 
 
-def _design_from(params: dict) -> OrgDesign:
-    kind = params["design"]
+def _design_from(kind, params: dict) -> OrgDesign:
     try:
         kind = DesignKind(kind)
     except ValueError:
@@ -88,9 +70,11 @@ def _design_from(params: dict) -> OrgDesign:
             fields=["design"]) from None
     if kind is DesignKind.FULLY_NETWORKED:
         return OrgDesign.fully_networked()
+    options = {k: params[k] for k in _DESIGN_PARAMS if k in params}
     if kind is DesignKind.SILOED:
-        return OrgDesign.siloed(params["silo_count"])
-    return OrgDesign.dynamic(params["silo_count"], params["reshuffle_interval"])
+        options.pop("reshuffle_interval", None)
+        return OrgDesign.siloed(**options)
+    return OrgDesign.dynamic(**options)
 
 
 def _tendency_from(value) -> Tendency:
@@ -102,13 +86,28 @@ def _tendency_from(value) -> Tendency:
             fields=["tendency"]) from None
 
 
-def _pairify(value, field_name: str) -> tuple[float, float]:
-    try:
-        lo, hi = value
-        return (float(lo), float(hi))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field_name} must be a [low, high] pair, got {value!r}",
-                          fields=[field_name]) from None
+def _check_label(label) -> str:
+    """Labels become CSV cells and path components under the output directory."""
+    if (not isinstance(label, str) or label in ("", ".", "..")
+            or any(c in label for c in _LABEL_FORBIDDEN)):
+        raise ConfigError(
+            f"label must be a non-empty string other than '.' or '..' without "
+            f"'/', '\\', ',', a line break or NUL, got {label!r}", fields=["label"])
+    return label
+
+
+def _check_trace(trace) -> str:
+    if trace not in TRACE_LEVELS:
+        raise ConfigError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}",
+                          fields=["trace"])
+    return trace
+
+
+def _check_workers(workers) -> int | None:
+    if workers is not None and not (is_int(workers) and workers >= 1):
+        raise ConfigError(f"workers must be a positive integer or null, got {workers!r}",
+                          fields=["workers"])
+    return workers
 
 
 def parse_config_dict(data: dict) -> ExperimentSpec:
@@ -120,22 +119,9 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}", fields=unknown)
     if "master_seed" not in data:
         raise ConfigError("missing required field master_seed", fields=["master_seed"])
-
-    base = dict(_GLOBAL_DEFAULTS)
-    for key in _GLOBAL_DEFAULTS:
-        if key in data:
-            base[key] = data[key]
-    master_seed = data["master_seed"]
-
-    trace = data.get("trace", "group")
-    if trace not in TRACE_LEVELS:
-        raise ConfigError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}",
-                          fields=["trace"])
-    workers = data.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise ConfigError(f"workers must be a positive integer or null, got {workers!r}",
-                          fields=["workers"])
-    out_dir = data.get("out_dir", "results")
+    trace = _check_trace(data.get("trace", ExperimentSpec.trace))
+    workers = _check_workers(data.get("workers", ExperimentSpec.workers))
+    out_dir = data.get("out_dir", ExperimentSpec.out_dir)
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"out_dir must be a non-empty string, got {out_dir!r}",
                           fields=["out_dir"])
@@ -149,6 +135,7 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
     if not isinstance(arm_entries, list) or not arm_entries:
         raise ConfigError("arms must be a non-empty list", fields=["arms"])
 
+    shared = {k: v for k, v in data.items() if k in _SHARED_KEYS}
     arms: list[Arm] = []
     for i, entry in enumerate(arm_entries):
         if not isinstance(entry, dict):
@@ -160,34 +147,17 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
         for required in ("design", "tendency"):
             if required not in entry:
                 raise ConfigError(f"arm {i}: missing {required}", fields=[required])
-        params = dict(base)
-        params.update({k: v for k, v in entry.items() if k in _GLOBAL_DEFAULTS})
-        params["design"] = entry["design"]
-        design = _design_from(params)
+        params = {**shared, **entry}
+        if params.get("binarization", _BINARIZATION) != _BINARIZATION:
+            raise ConfigError(f"binarization must be {_BINARIZATION!r}, got "
+                              f"{params['binarization']!r}", fields=["binarization"])
+        design = _design_from(entry["design"], params)
         tendency = _tendency_from(entry["tendency"])
-        label = entry.get("label", f"{design.kind.value}+{tendency.value}")
+        label = _check_label(entry.get("label", f"{design.kind.value}+{tendency.value}"))
         config = SimConfig(
-            master_seed=master_seed,
-            design=design,
-            tendency=tendency,
-            dim=params["dim"],
-            agents=params["agents"],
-            max_iterations=params["max_iterations"],
-            replicates=params["replicates"],
-            v_max=params["v_max"],
-            delta=params["delta"],
-            alpha=params["alpha"],
-            pressure_horizon=params["pressure_horizon"],
-            coeff_min=params["coeff_min"],
-            coeff_max=params["coeff_max"],
-            inertia_init=_pairify(params["inertia_init"], "inertia_init"),
-            self_belief_init=_pairify(params["self_belief_init"], "self_belief_init"),
-            prestige_bias_init=_pairify(params["prestige_bias_init"], "prestige_bias_init"),
-            gbest_mode=params["gbest_mode"],
-            stochastic_acceleration=params["stochastic_acceleration"],
-            binarization=params["binarization"],
-            freeze_on_goal=params["freeze_on_goal"],
-        )
+            master_seed=data["master_seed"], design=design, tendency=tendency,
+            **{k: tuple(v) if isinstance(v, list) else v
+               for k, v in params.items() if k in _PARAMS})
         config.validate()
         arms.append(Arm(label=label, config=config))
 
@@ -213,28 +183,11 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
     arms = []
     for arm in spec.arms:
         c = arm.config
-        entry = {
-            "label": arm.label,
-            "design": c.design.kind.value,
-            "tendency": c.tendency.value,
-            "dim": c.dim,
-            "agents": c.agents,
-            "max_iterations": c.max_iterations,
-            "replicates": c.replicates,
-            "v_max": c.v_max,
-            "delta": c.delta,
-            "alpha": c.alpha,
-            "pressure_horizon": c.pressure_horizon,
-            "coeff_min": c.coeff_min,
-            "coeff_max": c.coeff_max,
-            "inertia_init": list(c.inertia_init),
-            "self_belief_init": list(c.self_belief_init),
-            "prestige_bias_init": list(c.prestige_bias_init),
-            "gbest_mode": c.gbest_mode,
-            "stochastic_acceleration": c.stochastic_acceleration,
-            "binarization": c.binarization,
-            "freeze_on_goal": c.freeze_on_goal,
-        }
+        entry = {"label": arm.label, "design": c.design.kind.value,
+                 "tendency": c.tendency.value}
+        for name in _PARAMS:
+            value = getattr(c, name)
+            entry[name] = list(value) if isinstance(value, tuple) else value
         if c.design.kind is not DesignKind.FULLY_NETWORKED:
             entry["silo_count"] = c.design.silo_count
         if c.design.kind is DesignKind.DYNAMIC:
@@ -454,12 +407,9 @@ def with_overrides(spec: ExperimentSpec, master_seed: int | None = None,
         arms = [Arm(arm.label, replace(arm.config, **changes)) for arm in spec.arms]
         for arm in arms:
             arm.config.validate()
-    if trace is not None and trace not in TRACE_LEVELS:
-        raise ConfigError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}",
-                          fields=["trace"])
     return ExperimentSpec(
         arms=arms,
         out_dir=out_dir if out_dir is not None else spec.out_dir,
-        trace=trace if trace is not None else spec.trace,
-        workers=workers if workers is not None else spec.workers,
+        trace=_check_trace(trace) if trace is not None else spec.trace,
+        workers=_check_workers(workers) if workers is not None else spec.workers,
     )

@@ -6,36 +6,16 @@ Velocity is real-valued per dimension and evolves as
 
 with bits treated as reals 0.0/1.0. The continuous velocity is mapped onto
 bit flips stochastically: after clamping to [-v_max, +v_max], each new bit is
-1 with probability sigmoid(v'). All functions broadcast, so they apply both
-to one agent's length-D vectors and to whole-swarm (N, D) matrices (with
-per-agent coefficients shaped (N, 1)).
+1 with probability sigmoid(v') (the engine draws the uniforms). All functions
+broadcast, so they apply both to one agent's length-D vectors and to
+whole-swarm (N, D) matrices (with per-agent coefficients shaped (N, 1)).
+Arguments are not re-checked here: the engine passes only values that
+:meth:`orgswarm.engine.SimConfig.validate` accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DimensionMismatchError, InvalidParameterError
-from .strategy import BIT_DTYPE
-
-
-@dataclass(frozen=True)
-class CoefficientTriple:
-    """Per-agent drift coefficients: inertia W, self-belief C1, prestige bias C2."""
-
-    inertia: float
-    self_belief: float
-    prestige_bias: float
-
-    def validate(self, lo: float = 0.0, hi: float = float("inf")) -> None:
-        for name, value in (("inertia", self.inertia),
-                            ("self_belief", self.self_belief),
-                            ("prestige_bias", self.prestige_bias)):
-            if not np.isfinite(value) or not (lo <= value <= hi):
-                raise InvalidParameterError(
-                    f"{name}={value} outside [{lo}, {hi}] or non-finite")
 
 
 def sigmoid(x):
@@ -52,40 +32,11 @@ def update_velocity(velocity, position, personal_best, neighborhood_best,
     """
     velocity = np.asarray(velocity, dtype=float)
     position = np.asarray(position)
-    personal_best = np.asarray(personal_best)
-    neighborhood_best = np.asarray(neighborhood_best)
-    if not (velocity.shape == position.shape == personal_best.shape
-            == neighborhood_best.shape):
-        raise DimensionMismatchError(
-            f"shape mismatch: v{velocity.shape} p{position.shape} "
-            f"pb{personal_best.shape} gb{neighborhood_best.shape}")
-    for name, c in (("inertia", inertia), ("self_belief", self_belief),
-                    ("prestige_bias", prestige_bias)):
-        if not np.all(np.isfinite(c)):
-            raise InvalidParameterError(f"non-finite coefficient {name}")
     return (inertia * velocity
-            + self_belief * (personal_best - position)
-            + prestige_bias * (neighborhood_best - position))
+            + self_belief * (np.asarray(personal_best) - position)
+            + prestige_bias * (np.asarray(neighborhood_best) - position))
 
 
 def clamp_velocity(velocity, v_max: float):
     """Clamp every component into [-v_max, +v_max]."""
-    if not np.isfinite(v_max) or v_max <= 0:
-        raise InvalidParameterError(f"v_max must be a positive real, got {v_max}")
     return np.clip(velocity, -v_max, v_max)
-
-
-def update_position(position, velocity, rng: np.random.Generator) -> np.ndarray:
-    """Stochastic binarization of a (clamped) velocity into a new position.
-
-    Consumes exactly one uniform draw per dimension, in ascending dimension
-    order (row-major for matrices: agent-major, then dimension), and sets
-    bit d to 1 iff u_d < sigmoid(v_d).
-    """
-    position = np.asarray(position)
-    velocity = np.asarray(velocity, dtype=float)
-    if position.shape != velocity.shape:
-        raise DimensionMismatchError(
-            f"shape mismatch: p{position.shape} vs v{velocity.shape}")
-    draws = rng.random(position.shape)
-    return (draws < sigmoid(velocity)).astype(BIT_DTYPE)

@@ -1,24 +1,22 @@
 """Behavioral tendencies: how feedback reshapes the coefficient triple.
 
 Both policies move weight between self-belief (C1) and prestige bias (C2),
-never touching inertia. Reactive agents respond to each iteration's raw
-feedback; perceptive agents respond to an exponential moving average of it,
-with a step size that ramps from ``delta * alpha`` up to ``delta`` as
-performance pressure grows over time.
+never touching inertia. The feedback signal is an agent's fitness change,
+previous minus current, so a positive signal means it improved. Reactive
+agents respond to each iteration's raw signal; perceptive agents respond to
+an exponential moving average of it, with a step size that ramps from
+``delta * alpha`` up to ``delta`` as performance pressure grows over time.
 
-The ``*_shift`` functions are elementwise and accept scalars or aligned
-arrays; the ``*_update`` wrappers operate on one agent's typed state.
+The functions are elementwise and accept scalars or aligned arrays. They do
+not re-check their parameters: the engine passes only values that
+:meth:`orgswarm.engine.SimConfig.validate` accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-
-from .errors import InvalidParameterError
-from .kinematics import CoefficientTriple
 
 
 class Tendency(str, Enum):
@@ -26,48 +24,18 @@ class Tendency(str, Enum):
     PERCEPTIVE = "perceptive"
 
 
-@dataclass
-class PolicyState:
-    """Per-agent adaptation state."""
-
-    tendency: Tendency
-    last_fitness: int
-    pressure_horizon: int
-    feedback_ema: float = 0.0
-
-
-def feedback_signal(prev_fitness, new_fitness):
-    """Signed fitness change; positive means the agent improved."""
-    return prev_fitness - new_fitness
-
-
 def pressure(t, horizon: int) -> float:
-    """Performance pressure at iteration t: linear ramp min(1, t / horizon)."""
-    if horizon < 1:
-        raise InvalidParameterError(f"pressure horizon must be >= 1, got {horizon}")
-    if np.any(np.asarray(t) < 0):
-        raise InvalidParameterError(f"iteration index must be >= 0, got {t}")
+    """Performance pressure at iteration t >= 0: linear ramp min(1, t / horizon)."""
     return min(1.0, t / horizon)
 
 
 def reactive_shift(self_belief, prestige_bias, signal, step, lo, hi):
     """Shift weight toward self-belief on improvement, toward prestige on
     deterioration; zero signal leaves both untouched. Results are clamped to
-    [lo, hi]. ``step`` may be an array (used by the perceptive ramp)."""
-    if np.any(np.asarray(step) <= 0):
-        raise InvalidParameterError(f"step must be > 0, got {step}")
+    [lo, hi]. ``step`` (> 0) may be an array (used by the perceptive ramp)."""
     move = step * np.sign(signal)
     return (np.clip(self_belief + move, lo, hi),
             np.clip(prestige_bias - move, lo, hi))
-
-
-def reactive_update(coeffs: CoefficientTriple, signal: float, delta: float,
-                    bounds: tuple[float, float]) -> CoefficientTriple:
-    """One reactive adaptation of a single agent's coefficient triple."""
-    lo, hi = bounds
-    c1, c2 = reactive_shift(coeffs.self_belief, coeffs.prestige_bias,
-                            signal, delta, lo, hi)
-    return CoefficientTriple(coeffs.inertia, float(c1), float(c2))
 
 
 def perceptive_shift(feedback_ema, self_belief, prestige_bias, signal,
@@ -78,24 +46,8 @@ def perceptive_shift(feedback_ema, self_belief, prestige_bias, signal,
     coefficient move follows the reactive rule with direction sign(ema') and
     magnitude delta * (pressure + (1 - pressure) * alpha).
     """
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParameterError(f"alpha must be in (0, 1], got {alpha}")
-    if delta <= 0:
-        raise InvalidParameterError(f"delta must be > 0, got {delta}")
     ema = (1.0 - alpha) * np.asarray(feedback_ema, dtype=float) + alpha * np.asarray(signal)
     press = pressure(t, horizon)
     step = delta * (press + (1.0 - press) * alpha)
     c1, c2 = reactive_shift(self_belief, prestige_bias, ema, step, lo, hi)
     return ema, c1, c2
-
-
-def perceptive_update(state: PolicyState, coeffs: CoefficientTriple, signal: float,
-                      t: int, alpha: float, delta: float,
-                      bounds: tuple[float, float]) -> tuple[PolicyState, CoefficientTriple]:
-    """One perceptive adaptation of a single agent's state + coefficients."""
-    lo, hi = bounds
-    ema, c1, c2 = perceptive_shift(state.feedback_ema, coeffs.self_belief,
-                                   coeffs.prestige_bias, signal, t,
-                                   state.pressure_horizon, alpha, delta, lo, hi)
-    new_state = replace(state, feedback_ema=float(ema))
-    return new_state, CoefficientTriple(coeffs.inertia, float(c1), float(c2))

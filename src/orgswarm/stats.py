@@ -22,15 +22,6 @@ from .engine import ReplicateResult
 EXACT_MAX_N = 20
 
 
-def first_hit_iteration(fitness_trace) -> int | None:
-    """Smallest index whose fitness is 0, or None if the goal never appears."""
-    arr = np.asarray(fitness_trace)
-    if arr.size == 0:
-        raise InvalidParameterError("empty fitness trace")
-    zeros = np.flatnonzero(arr == 0)
-    return int(zeros[0]) if zeros.size else None
-
-
 @dataclass
 class ArmSummary:
     """Replicate-level statistics for one (design x tendency) arm."""

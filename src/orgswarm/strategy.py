@@ -14,16 +14,6 @@ from .errors import DimensionMismatchError, InvalidParameterError
 BIT_DTYPE = np.int8
 
 
-def as_position(bits) -> np.ndarray:
-    """Coerce a bit sequence to a validated position array."""
-    arr = np.asarray(bits, dtype=BIT_DTYPE)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidParameterError(f"position must be a non-empty 1-d bit vector, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
-        raise InvalidParameterError("position bits must all be 0 or 1")
-    return arr
-
-
 def hamming_distance(a, b) -> int:
     """Count of positions at which two equal-length bit vectors differ.
 
@@ -42,13 +32,8 @@ def fitness(position, goal) -> int:
 
 
 def fitness_many(positions: np.ndarray, goal: np.ndarray) -> np.ndarray:
-    """Row-wise Hamming distance of an (n, D) position matrix to one goal."""
-    positions = np.asarray(positions)
-    goal = np.asarray(goal)
-    if positions.ndim != 2 or positions.shape[1] != goal.shape[0]:
-        raise DimensionMismatchError(
-            f"positions {positions.shape} incompatible with goal {goal.shape}")
-    return (positions != goal).sum(axis=1)
+    """Row-wise Hamming distance of an (n, D) position matrix to a length-D goal."""
+    return (np.asarray(positions) != np.asarray(goal)).sum(axis=1)
 
 
 def random_position(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,12 +12,16 @@ Three designs constrain which "most fit" reference each agent can see:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, InvariantViolation
+from .errors import ConfigError, InvalidParameterError, InvariantViolation, is_int
+
+
+SILO_COUNT = 5           # default for siloed and dynamic designs
+RESHUFFLE_INTERVAL = 10  # default for dynamic designs
 
 
 class DesignKind(str, Enum):
@@ -36,40 +40,45 @@ class OrgDesign:
 
     @classmethod
     def fully_networked(cls) -> "OrgDesign":
-        return cls(DesignKind.FULLY_NETWORKED, silo_count=1)
+        return cls(DesignKind.FULLY_NETWORKED)
 
     @classmethod
-    def siloed(cls, silo_count: int = 5) -> "OrgDesign":
+    def siloed(cls, silo_count: int = SILO_COUNT) -> "OrgDesign":
         return cls(DesignKind.SILOED, silo_count=silo_count)
 
     @classmethod
-    def dynamic(cls, silo_count: int = 5, reshuffle_interval: int = 10) -> "OrgDesign":
+    def dynamic(cls, silo_count: int = SILO_COUNT,
+                reshuffle_interval: int = RESHUFFLE_INTERVAL) -> "OrgDesign":
         return cls(DesignKind.DYNAMIC, silo_count=silo_count,
                    reshuffle_interval=reshuffle_interval)
 
-    def validate(self, agent_count: int) -> list[str]:
-        """Return a list of offending field descriptions (empty when valid)."""
-        problems = []
+    def validate(self, agent_count: int) -> dict[str, str]:
+        """Map each offending field to a description (empty when valid)."""
+        problems = {}
         if self.kind is DesignKind.FULLY_NETWORKED:
             if self.silo_count != 1:
-                problems.append("silo_count (must be 1 for fully_networked)")
-        else:
-            if self.silo_count < 1 or self.silo_count > agent_count:
-                problems.append(
-                    f"silo_count (must be in [1, {agent_count}], got {self.silo_count})")
-        if self.kind is DesignKind.DYNAMIC:
-            if self.reshuffle_interval is None or self.reshuffle_interval < 1:
-                problems.append(
-                    f"reshuffle_interval (must be >= 1, got {self.reshuffle_interval})")
+                problems["silo_count"] = "silo_count (must be 1 for fully_networked)"
+        elif not (is_int(self.silo_count) and 1 <= self.silo_count <= agent_count):
+            problems["silo_count"] = (f"silo_count (integer in [1, {agent_count}] "
+                                      f"required, got {self.silo_count!r})")
+        if self.kind is DesignKind.DYNAMIC and not (
+                is_int(self.reshuffle_interval) and self.reshuffle_interval >= 1):
+            problems["reshuffle_interval"] = (f"reshuffle_interval (integer >= 1 "
+                                              f"required, got {self.reshuffle_interval!r})")
         return problems
 
 
 @dataclass
 class SiloAssignment:
-    """Partition of agents into silos: ``silo_of[i]`` is agent i's silo index."""
+    """Partition of agents into silos: ``silo_of[i]`` is agent i's silo index.
+
+    ``members[s]`` lists silo s's agents in ascending order; it is computed
+    once, when the partition is built.
+    """
 
     silo_of: np.ndarray
     silo_count: int
+    members: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.silo_of = np.asarray(self.silo_of, dtype=np.int64)
@@ -78,13 +87,10 @@ class SiloAssignment:
             raise InvariantViolation("empty silo in assignment")
         if sizes.max() - sizes.min() > 1:
             raise InvariantViolation(f"unbalanced silo sizes {sizes.tolist()}")
+        self.members = [np.flatnonzero(self.silo_of == s) for s in range(self.silo_count)]
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.silo_of, minlength=self.silo_count)
-
-    def members(self) -> list[np.ndarray]:
-        """Per-silo member index arrays, ascending within each silo."""
-        return [np.flatnonzero(self.silo_of == s) for s in range(self.silo_count)]
 
 
 def _balanced_sizes(agent_count: int, silo_count: int) -> np.ndarray:
@@ -131,29 +137,7 @@ def reshuffle(assignment: SiloAssignment, rng: np.random.Generator) -> SiloAssig
 
 def silo_leaders(assignment: SiloAssignment, fitnesses: np.ndarray) -> np.ndarray:
     """Index of the fittest agent in each silo (ties -> lowest agent index)."""
-    fitnesses = np.asarray(fitnesses)
     leaders = np.empty(assignment.silo_count, dtype=np.int64)
-    for silo, members in enumerate(assignment.members()):
-        if members.size == 0:
-            raise InvariantViolation(f"silo {silo} is empty")
+    for silo, members in enumerate(assignment.members):
         leaders[silo] = members[np.argmin(fitnesses[members])]
     return leaders
-
-
-def neighborhood_best(agent_index: int, assignment: SiloAssignment,
-                      pbest_positions: np.ndarray,
-                      pbest_fitnesses: np.ndarray) -> np.ndarray:
-    """The reference position agent ``agent_index`` sees: the best personal
-    best within its silo (ties broken toward the lowest agent index)."""
-    leaders = silo_leaders(assignment, pbest_fitnesses)
-    return np.asarray(pbest_positions)[leaders[assignment.silo_of[agent_index]]]
-
-
-def neighborhood_best_all(assignment: SiloAssignment, pbest_positions: np.ndarray,
-                          pbest_fitnesses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized form: per-agent reference positions and their fitnesses."""
-    leaders = silo_leaders(assignment, pbest_fitnesses)
-    leader_of_agent = leaders[assignment.silo_of]
-    pbest_positions = np.asarray(pbest_positions)
-    pbest_fitnesses = np.asarray(pbest_fitnesses)
-    return pbest_positions[leader_of_agent], pbest_fitnesses[leader_of_agent]

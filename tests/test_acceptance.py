@@ -77,7 +77,7 @@ def test_criterion_1_determinism_and_schedule_independence(tmp_path):
 # criterion 2: kinematics oracle
 
 class RecordingRng:
-    """Wraps a Generator, logging every uniform consumed by update_position."""
+    """Wraps a Generator, logging every uniform the engine consumes."""
 
     def __init__(self, inner):
         self.inner = inner

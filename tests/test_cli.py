@@ -88,6 +88,44 @@ class TestRun:
                    write_config(tmp_path, {**TINY, "alpha": 5.0})])
         assert rc == 2
 
+    @pytest.mark.parametrize("override,field", [
+        ({"delta": "0.1"}, "delta"),
+        ({"v_max": "4"}, "v_max"),
+        ({"coeff_min": None}, "coeff_min"),
+        ({"arms": [{"design": "siloed", "tendency": "reactive",
+                    "silo_count": "5"}]}, "silo_count"),
+        ({"arms": [{"design": "dynamic", "tendency": "reactive",
+                    "reshuffle_interval": "3"}]}, "reshuffle_interval"),
+        ({"dim": True}, "dim"),
+        ({"master_seed": True}, "master_seed"),
+        ({"inertia_init": [True, True]}, "inertia_init"),
+        ({"stochastic_acceleration": "yes"}, "stochastic_acceleration"),
+        ({"freeze_on_goal": 1}, "freeze_on_goal"),
+    ])
+    def test_wrong_typed_value_exit_2(self, tmp_path, capsys, override, field):
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", write_config(tmp_path, {**TINY, **override}),
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_label_cannot_escape_out_dir(self, tmp_path, capsys):
+        arms = [{"design": "siloed", "tendency": "reactive", "label": "../../escaped"}]
+        out_dir = tmp_path / "x" / "deep"
+        rc = main(["run", "--config", write_config(tmp_path, {**TINY, "arms": arms}),
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert "label" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists() and not (tmp_path / "escaped.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bad_workers_flag_exit_2(self, tmp_path, capsys, workers):
+        rc = main(["run", "--config", write_config(tmp_path, TINY),
+                   "--out", str(tmp_path / "out"), "--workers", workers])
+        assert rc == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_worker_flag(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
         out_dir = tmp_path / "w2"

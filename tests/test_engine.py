@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from orgswarm import (ConfigError, OrgDesign, SimConfig, Tendency,
-                      derive_replicate_seed, init_swarm, replicate_rng,
-                      run_replicate, step)
+                      derive_replicate_seed, init_swarm, parse_config_dict,
+                      replicate_rng, run_replicate, step)
 
 
 def config(**overrides):
@@ -29,7 +29,7 @@ class TestSimConfig:
         message = str(err.value)
         for name in ("dim", "alpha", "v_max"):
             assert name in message
-        assert len(err.value.fields) == 3
+        assert err.value.fields == ["dim", "v_max", "alpha"]
 
     def test_init_range_outside_bounds_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -46,8 +46,18 @@ class TestSimConfig:
             config(gbest_mode="psychic").validate()
 
     def test_bad_binarization(self):
-        with pytest.raises(ConfigError):
-            config(binarization="round").validate()
+        # not a SimConfig field: the one stochastic-sigmoid rule is the
+        # model; configs may still name it, and nothing else
+        assert not hasattr(config(), "binarization")
+        ok = {"master_seed": 1, "binarization": "sigmoid-stochastic"}
+        assert parse_config_dict(ok) == parse_config_dict({"master_seed": 1})
+        for bad in ({**ok, "binarization": "round"},
+                    {"master_seed": 1, "arms": [{"design": "siloed",
+                                                 "tendency": "reactive",
+                                                 "binarization": None}]}):
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict(bad)
+            assert err.value.fields == ["binarization"]
 
 
 class TestSeedDerivation:
@@ -92,15 +102,6 @@ class TestInitSwarm:
         state = init_swarm(c, replicate_rng(c.master_seed, 1))
         expected = (state.pbest_positions != state.goal).sum(axis=1)
         assert np.array_equal(state.pbest_fitness, expected)
-
-    def test_agent_snapshot(self):
-        c = config()
-        state = init_swarm(c, replicate_rng(c.master_seed, 0))
-        agent = state.agent(2)
-        assert agent.index == 2
-        assert agent.pbest_fitness == state.pbest_fitness[2]
-        assert agent.coeffs.inertia == state.inertia[2]
-        assert agent.policy.tendency is Tendency.REACTIVE
 
 
 class TestStep:

@@ -1,12 +1,13 @@
 import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, DesignKind, Tendency, parse_config,
-                      parse_config_dict, run_experiment, serialize_spec,
-                      with_overrides)
+from orgswarm import (ConfigError, DesignKind, OrgDesign, SimConfig, Tendency,
+                      parse_config, parse_config_dict, run_experiment,
+                      serialize_spec, with_overrides)
 
 TINY = {
     "master_seed": 20260808,
@@ -37,6 +38,29 @@ class TestParseConfig:
         assert (c.dim, c.agents, c.max_iterations, c.replicates) == (25, 20, 1000, 200)
         assert c.v_max == 4.0 and c.delta == 0.1 and c.alpha == 0.1
         assert spec.trace == "group" and spec.out_dir == "results"
+
+    def test_defaults_come_from_simconfig_and_orgdesign(self):
+        spec = parse_config_dict({"master_seed": 7})
+        designs = {DesignKind.FULLY_NETWORKED: OrgDesign.fully_networked(),
+                   DesignKind.SILOED: OrgDesign.siloed(),
+                   DesignKind.DYNAMIC: OrgDesign.dynamic()}
+        for arm in spec.arms:
+            kind, tendency = arm.config.design.kind, arm.config.tendency
+            assert arm.config == SimConfig(master_seed=7, design=designs[kind],
+                                           tendency=tendency)
+        # every field is written out; arms[0] is dynamic+perceptive
+        assert set(serialize_spec(spec)["arms"][0]) == (
+            {f.name for f in fields(SimConfig)} - {"master_seed"}
+            | {"label", "silo_count", "reshuffle_interval"})
+
+    @pytest.mark.parametrize("label", ["../../escaped", "a/b", "a\\b", "a,b",
+                                       "a\nb", "a\rb", "a\0b", "", ".", "..", 5,
+                                       None, ["x"]])
+    def test_bad_label_rejected(self, label):
+        arms = [{"design": "siloed", "tendency": "reactive", "label": label}]
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict({"master_seed": 1, "arms": arms})
+        assert err.value.fields == ["label"]
 
     def test_missing_master_seed_named(self):
         with pytest.raises(ConfigError) as err:
@@ -119,6 +143,22 @@ class TestParseConfig:
         assert (out.workers, out.trace, out.out_dir) == (3, "none", "elsewhere")
         # original untouched
         assert spec.arms[0].config.master_seed == TINY["master_seed"]
+
+    @pytest.mark.parametrize("override,field", [
+        ({"workers": 0}, "workers"), ({"workers": -1}, "workers"),
+        ({"workers": True}, "workers"), ({"trace": "loud"}, "trace"),
+        ({"master_seed": -1}, "master_seed"), ({"replicates": 0}, "replicates"),
+    ])
+    def test_with_overrides_checked_like_config(self, override, field):
+        spec = parse_config_dict(dict(TINY))
+        with pytest.raises(ConfigError) as err:
+            with_overrides(spec, **override)
+        assert err.value.fields == [field]
+        key, value = next(iter(override.items()))
+        if key in ("workers", "trace"):
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict({**TINY, key: value})
+            assert err.value.fields == [field]
 
 
 @pytest.fixture(scope="module")

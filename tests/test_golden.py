@@ -1,0 +1,125 @@
+"""Golden outputs: SHA-256 of every file ``run_experiment`` writes.
+
+The digests were recorded from the engine before the per-agent API, the
+``binarization`` field and the hot-path checks were removed; any change to
+a CSV byte, a file name or the set of files written fails this test. The
+matrix is tiny but covers all three designs, both tendencies, historical
+and instantaneous leaders, stochastic acceleration, freeze-on-goal, an
+explicit pressure horizon, never-converged replicates and every trace level.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from orgswarm import parse_config_dict, run_experiment
+
+TINY = {"master_seed": 20260808, "dim": 6, "agents": 4, "max_iterations": 40,
+        "replicates": 3, "silo_count": 2, "reshuffle_interval": 3,
+        "workers": 1}
+
+CASES = {
+    # the standard 3 designs x 2 tendencies grid
+    "grid_group": {**TINY},
+    # budget too small for most replicates: empty cells, censored ratios
+    "grid_none_censored": {**TINY, "dim": 8, "max_iterations": 10,
+                           "replicates": 4, "trace": "none"},
+    "variants_full": {
+        **TINY, "replicates": 2, "trace": "full", "master_seed": 7,
+        "arms": [
+            {"design": "dynamic", "tendency": "perceptive",
+             "stochastic_acceleration": True, "pressure_horizon": 5,
+             "label": "dyn-accel"},
+            {"design": "siloed", "tendency": "reactive",
+             "gbest_mode": "instantaneous", "freeze_on_goal": True,
+             "label": "silo-inst-freeze"},
+            {"design": "fully_networked", "tendency": "perceptive",
+             "gbest_mode": "instantaneous", "alpha": 0.5, "delta": 0.2,
+             "v_max": 2.5, "inertia_init": [0.5, 0.7], "coeff_max": 3.0},
+            {"design": "dynamic", "tendency": "reactive", "silo_count": 4,
+             "reshuffle_interval": 1, "freeze_on_goal": True,
+             "stochastic_acceleration": True},
+        ]},
+}
+
+GOLDEN = {
+    'grid_group': {
+        'arms.csv':
+            '13c376fcab42ecbe517de3b30cc5e779ed94243b504dd6d4ddc56c4daba71ea9',
+        'comparisons.csv':
+            '4a05b819cde1f8f514dbbe93c9b0ab140cce2a28c3f84006f80fb351b67c2cb6',
+        'curves/dynamic+perceptive.csv':
+            '8ea74392605596461fc19aac2c01a3464c3f984a27457f609b06d588523e87a0',
+        'curves/dynamic+reactive.csv':
+            '690eeded8cfb21eff093e8ed74f26a5d80485c120f322ffcb5a8b3a3b20ae56c',
+        'curves/fully_networked+perceptive.csv':
+            'f3a66a13db24c8efb0fc19803335bd17b1b9bb3f0f0fd6e3d86049da1629ecf2',
+        'curves/fully_networked+reactive.csv':
+            '42bd49dcc3c11d91da670619ead2ac13708ee709e2e38d47fc34e7b9df498234',
+        'curves/siloed+perceptive.csv':
+            'a33d01d42e96bbf43242557962d26dcad25e9c268029531c7bc22dd4cd008934',
+        'curves/siloed+reactive.csv':
+            '147d68d6899db4d6bbd6c0a322cfb60b212193026cc4741c005c64274ababa9c',
+        'goals.csv':
+            'b1ffd68dcbeed9d0de090a12d38d4b5a52e428f9e48ead6b6b1422d25eb2cafa',
+        'summary.csv':
+            'cf0cd3885261aa9b69b8296b5a4d4f0bc9ce064eaf7af3079d240e6638e99871',
+    },
+    'grid_none_censored': {
+        'arms.csv':
+            'b184356224585f4da1a29bc313ff1454e5e89199a05090405efa29c250334554',
+        'comparisons.csv':
+            '393ef0e0c8135d278007697c027a77b9220f0f378c12da6972f4212425f1072c',
+        'goals.csv':
+            '46901342b1bfa1cbc68e565b5754c6d42dd2b61fe237ee10acc1ffd411aba543',
+        'summary.csv':
+            'da06bc65b87da238f5799918f211decb5e8949e86fe98ab05857f86d409d1d3a',
+    },
+    'variants_full': {
+        'arms.csv':
+            'c3f39ccc57aa32c0847487a4d28942f821bd87eac0492c7183fe9ed4e401b3bb',
+        'comparisons.csv':
+            '0157868325171e0dead915fb16e1317b5373c8e19f7912b0d5c495c420ee18a6',
+        'curves/dyn-accel.csv':
+            '6ed9a9c428e47ceac35c837adc84b4f161e03e83235ac55d9e5405a1962ddb7e',
+        'curves/dynamic+reactive.csv':
+            '039a878e148e5fcb7433d6dd4bdba7ba31dda2cc0c9d66fe9c2bd3cad5fb4def',
+        'curves/fully_networked+perceptive.csv':
+            'aee1e6ea47105e822412b717b215efefa6a1a7fb88f48f8001aaf883c44ddf86',
+        'curves/silo-inst-freeze.csv':
+            '8320e4184f8491cf87f238218fbf3d82a957bff499f6830256052e4552cf2568',
+        'goals.csv':
+            'd58624df2c199461fffe7280388ed576c96872a4634b8ea2a22ff660dc8b6d9d',
+        'summary.csv':
+            '64faa0054744d56d9eeed6d44cc33a1f2084d00aef56a9470dd270e6e74d084a',
+        'traces/dyn-accel/replicate_0.csv':
+            'ac405ba998e1db1241a2cb13c85179cfd0e2653ac9acaeba62c50e0c238e9f92',
+        'traces/dyn-accel/replicate_1.csv':
+            'aaf7e01fa54c986d35a788a83f588f7f80235e777e86f39c6735ef83c2c785e4',
+        'traces/dynamic+reactive/replicate_0.csv':
+            'acb00fb17bb75829ce8295abbad35c5c6b85761b2f2c829f6152e443cfee8275',
+        'traces/dynamic+reactive/replicate_1.csv':
+            'a98bc4c1a5a3828a63775684937aba6c6da52023feb5cfa7d2edbad7f42c318b',
+        'traces/fully_networked+perceptive/replicate_0.csv':
+            '3353414ed07ba3e4987613ebdfd82972a378ec4e24a07af3f9f279860c1689df',
+        'traces/fully_networked+perceptive/replicate_1.csv':
+            'de13436c927c807370aa51a02de6ad2a8b7b15b5b1387692ecf69fc5c69435fe',
+        'traces/silo-inst-freeze/replicate_0.csv':
+            'df39cf3d4dc696038e378f43fb412ef8b2fc270dcef274824de3ea070551858d',
+        'traces/silo-inst-freeze/replicate_1.csv':
+            'e04e2640723330b8640554b515f236cc6c8ebb57dbe9eae2053d42566922cde2',
+    },
+}
+
+
+def digests(out_dir: Path) -> dict:
+    return {p.relative_to(out_dir).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden_digests(name, tmp_path):
+    run_experiment(parse_config_dict(CASES[name]), out_dir=tmp_path)
+    assert digests(tmp_path) == GOLDEN[name]

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from orgswarm import (DimensionMismatchError, InvalidParameterError,
-                      clamp_velocity, sigmoid, update_position, update_velocity)
+from orgswarm import (ConfigError, OrgDesign, SimConfig, Tendency, clamp_velocity,
+                      init_swarm, parse_config_dict, replicate_rng, sigmoid, step,
+                      update_velocity)
 
 
 class StubRng:
-    """Feeds a fixed uniform sequence to update_position."""
+    """Feeds a fixed uniform sequence to the engine's binarization draw."""
 
     def __init__(self, values):
         self.values = list(values)
@@ -18,6 +19,29 @@ class StubRng:
         out = np.array(self.values[:size], dtype=float).reshape(shape)
         del self.values[:size]
         return out
+
+
+def engine_position_update(position, velocity, draws=None, seed=1):
+    """New positions from one engine step whose pulls are all zero.
+
+    With W = 1 and C1 = C2 = 0 the step's velocity is ``velocity`` clamped
+    to +/-4, so the new bits come from the engine's binarization alone.
+    ``draws`` replaces the replicate stream's uniforms when given.
+    """
+    position = np.asarray(position, dtype=np.int8)
+    rows = np.atleast_2d(position)
+    cfg = SimConfig(master_seed=seed, design=OrgDesign.fully_networked(),
+                    tendency=Tendency.REACTIVE, dim=rows.shape[1],
+                    agents=rows.shape[0], inertia_init=(1.0, 1.0),
+                    self_belief_init=(0.0, 0.0), prestige_bias_init=(0.0, 0.0))
+    state = init_swarm(cfg, replicate_rng(seed, 0))
+    state.positions = rows.copy()
+    state.pbest_positions = rows.copy()
+    state.velocities = np.asarray(velocity, dtype=float).reshape(rows.shape).copy()
+    if draws is not None:
+        state.rng = StubRng(draws)
+    step(state, 1)
+    return state.positions.reshape(position.shape)
 
 
 class TestUpdateVelocity:
@@ -35,14 +59,22 @@ class TestUpdateVelocity:
         assert v == pytest.approx([2.6])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            update_velocity([0.1, 0.2], [0], [1], [1], 1.0, 1.0, 1.0)
+        # Every array the engine passes has shape (agents, dim); the config
+        # boundary rejects both unless they are integers >= 1.
+        for key in ("dim", "agents"):
+            for bad in (0, 2.5, "6", True, None):
+                with pytest.raises(ConfigError) as err:
+                    parse_config_dict({"master_seed": 1, key: bad})
+                assert err.value.fields == [key]
 
     def test_non_finite_coefficient(self):
-        with pytest.raises(InvalidParameterError):
-            update_velocity([0.1], [0], [1], [1], float("nan"), 1.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            update_velocity([0.1], [0], [1], [1], 1.0, float("inf"), 1.0)
+        # Coefficients come from the init ranges, which the config boundary
+        # rejects unless they are finite.
+        for key, pair in (("inertia_init", [float("nan"), 0.9]),
+                          ("self_belief_init", [0.5, float("inf")])):
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict({"master_seed": 1, key: pair})
+            assert key in err.value.fields
 
     def test_linearity_in_inertia(self):
         rng = np.random.default_rng(2)
@@ -85,9 +117,10 @@ class TestClampVelocity:
         assert clamp_velocity(np.array([v]), 4.0)[0] == expected
 
     def test_invalid_vmax(self):
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(InvalidParameterError):
-                clamp_velocity(np.array([1.0]), bad)
+        for bad in (0.0, -1.0, float("nan"), float("inf"), "4", None, True):
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict({"master_seed": 1, "v_max": bad})
+            assert err.value.fields == ["v_max"]
 
     def test_all_components_within_bounds(self):
         rng = np.random.default_rng(4)
@@ -115,55 +148,54 @@ class TestSigmoid:
 
 
 class TestUpdatePosition:
+    """The engine's stochastic binarization: bit d is 1 iff u_d < sigmoid(v_d)."""
+
     def test_high_velocity_with_draw_below_probability(self):
         # sigmoid(4.0) ~ 0.9820 > 0.9 -> bit set
-        new = update_position([0], [4.0], StubRng([0.9]))
-        assert new.tolist() == [1]
+        assert engine_position_update([0], [4.0], [0.9]).tolist() == [1]
 
     def test_zero_velocity_threshold(self):
-        assert update_position([0], [0.0], StubRng([0.4])).tolist() == [1]
-        assert update_position([1], [0.0], StubRng([0.6])).tolist() == [0]
+        assert engine_position_update([0], [0.0], [0.4]).tolist() == [1]
+        assert engine_position_update([1], [0.0], [0.6]).tolist() == [0]
 
     def test_deterministic_given_seed(self):
         v = np.linspace(-2, 2, 9)
         p = np.zeros(9, dtype=np.int8)
-        a = update_position(p, v, np.random.default_rng(5))
-        b = update_position(p, v, np.random.default_rng(5))
+        a = engine_position_update(p, v, seed=5)
+        b = engine_position_update(p, v, seed=5)
         assert np.array_equal(a, b)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            update_position([0, 1], [0.5], np.random.default_rng(0))
 
     def test_output_is_valid_position(self):
         rng = np.random.default_rng(6)
-        out = update_position(rng.integers(0, 2, 200), rng.normal(size=200), rng)
-        assert out.shape == (200,)
+        out = engine_position_update(rng.integers(0, 2, (10, 20)),
+                                     rng.normal(size=(10, 20)))
+        assert out.shape == (10, 20) and out.dtype == np.int8
         assert set(np.unique(out)) <= {0, 1}
 
     def test_block_draws_equal_sequential_rows(self):
-        # The (N, D) matrix form must consume uniforms agent-major,
-        # dimension order, exactly like per-agent calls.
+        # The (N, D) update consumes uniforms agent-major, dimension order.
         v = np.linspace(-3, 3, 12).reshape(3, 4)
         p = np.zeros((3, 4), dtype=np.int8)
-        block = update_position(p, v, np.random.default_rng(21))
-        rng = np.random.default_rng(21)
-        rows = [update_position(p[i], v[i], rng) for i in range(3)]
+        draws = np.random.default_rng(21).random(12)
+        block = engine_position_update(p, v, draws.tolist())
+        rows = [(draws[4 * i:4 * i + 4] < sigmoid(v[i])).astype(np.int8)
+                for i in range(3)]
         assert np.array_equal(block, np.stack(rows))
 
     def test_saturated_flip_frequency(self):
-        # At the +4.0 clamp, P(bit=1) = sigmoid(4.0); 100,000 draws stay
-        # within +/- 0.005 of it.
-        rng = np.random.default_rng(77)
+        # A velocity of 9 is clamped to +4.0, where P(bit=1) = sigmoid(4.0);
+        # 100,000 draws stay within +/- 0.005 of it.
         n = 100_000
-        out = update_position(np.zeros(n, dtype=np.int8), np.full(n, 4.0), rng)
+        out = engine_position_update(np.zeros(n, dtype=np.int8), np.full(n, 9.0),
+                                     seed=77)
         assert abs(out.mean() - sigmoid(4.0)) < 0.005
 
 
 class TestFullStepAgainstHandEvaluator:
     def test_one_step_matches_brute_force(self):
         # Pure-python evaluation of one velocity+clamp+binarization step for
-        # D=3, checked bit-for-bit against the library pipeline.
+        # D=3, checked bit-for-bit against agent 1 of a 2-agent engine step
+        # whose leader (agent 0) holds gb as its personal best.
         w, c1, c2, v_max = 0.6, 1.2, 0.8, 4.0
         v = [0.5, -1.0, 2.0]
         p = [0, 1, 1]
@@ -178,7 +210,16 @@ class TestFullStepAgainstHandEvaluator:
             expected_v.append(vd)
             expected_bits.append(1 if draws[d] < 1.0 / (1.0 + math.exp(-vd)) else 0)
 
-        vel = clamp_velocity(update_velocity(v, p, pb, gb, w, c1, c2), v_max)
-        got = update_position(p, vel, StubRng(draws))
-        assert np.allclose(vel, expected_v, atol=1e-12)
-        assert got.tolist() == expected_bits
+        cfg = SimConfig(master_seed=3, design=OrgDesign.fully_networked(),
+                        tendency=Tendency.REACTIVE, dim=3, agents=2, v_max=v_max)
+        state = init_swarm(cfg, replicate_rng(3, 0))
+        state.goal = np.array(gb, dtype=np.int8)
+        state.positions = np.array([gb, p], dtype=np.int8)
+        state.pbest_positions = np.array([gb, pb], dtype=np.int8)
+        state.pbest_fitness = np.array([0, 1])
+        state.velocities = np.array([[0.0] * 3, v])
+        state.inertia[1], state.self_belief[1], state.prestige_bias[1] = w, c1, c2
+        state.rng = StubRng([0.5] * 3 + draws)
+        step(state, 1)
+        assert np.allclose(state.velocities[1], expected_v, atol=1e-12)
+        assert state.positions[1].tolist() == expected_bits

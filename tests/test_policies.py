@@ -1,55 +1,71 @@
 import numpy as np
 import pytest
 
-from orgswarm import (CoefficientTriple, InvalidParameterError, PolicyState,
-                      Tendency, feedback_signal, perceptive_update, pressure,
-                      reactive_update)
+from orgswarm import (ConfigError, OrgDesign, SimConfig, Tendency, init_swarm,
+                      parse_config_dict, pressure, replicate_rng, step)
 from orgswarm.policies import perceptive_shift, reactive_shift
+from scripted import scripted_state
 
 BOUNDS = (0.0, 2.0)
 
 
-def triple(c1: float, c2: float, w: float = 0.7) -> CoefficientTriple:
-    return CoefficientTriple(w, c1, c2)
+def rejected_fields(**config):
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict({"master_seed": 1, **config})
+    return err.value.fields
 
 
 class TestFeedbackSignal:
     @pytest.mark.parametrize("prev,new,expected", [(5, 3, 2), (4, 4, 0), (2, 6, -4)])
     def test_hand_examples(self, prev, new, expected):
-        assert feedback_signal(prev, new) == expected
+        # The engine's signal is previous minus current fitness: with
+        # alpha = 1 the perceptive EMA equals it after one step, and the
+        # reactive rule moves C1 by delta * sign(signal).
+        perceptive = scripted_state([[prev, new]], tendency=Tendency.PERCEPTIVE,
+                                    alpha=1.0)
+        reactive = scripted_state([[prev, new]], self_belief_init=(1.0, 1.5))
+        step(perceptive, 1)
+        step(reactive, 1)
+        assert perceptive.feedback_ema[0] == expected
+        assert reactive.self_belief[0] == pytest.approx(1.0 + 0.1 * np.sign(expected))
 
 
 class TestReactiveUpdate:
     def test_improvement_shifts_toward_self_belief(self):
-        out = reactive_update(triple(0.9, 1.1), signal=1, delta=0.1, bounds=BOUNDS)
-        assert out.self_belief == pytest.approx(1.0)
-        assert out.prestige_bias == pytest.approx(1.0)
+        c1, c2 = reactive_shift(0.9, 1.1, 1, 0.1, *BOUNDS)
+        assert c1 == pytest.approx(1.0)
+        assert c2 == pytest.approx(1.0)
 
     def test_zero_signal_is_fixed_point(self):
-        c = triple(0.9, 1.1)
-        out = reactive_update(c, signal=0, delta=0.1, bounds=BOUNDS)
-        assert out == c
+        c1, c2 = reactive_shift(0.9, 1.1, 0, 0.1, *BOUNDS)
+        assert (c1, c2) == (0.9, 1.1)
 
     def test_deterioration_shifts_toward_prestige(self):
-        out = reactive_update(triple(1.0, 1.0), signal=-3, delta=0.1, bounds=BOUNDS)
-        assert out.self_belief == pytest.approx(0.9)
-        assert out.prestige_bias == pytest.approx(1.1)
+        c1, c2 = reactive_shift(1.0, 1.0, -3, 0.1, *BOUNDS)
+        assert c1 == pytest.approx(0.9)
+        assert c2 == pytest.approx(1.1)
 
     def test_saturation_at_bounds(self):
-        out = reactive_update(triple(2.0, 1.1), signal=1, delta=0.1, bounds=BOUNDS)
-        assert out.self_belief == 2.0
-        assert out.prestige_bias == pytest.approx(1.0)
+        c1, c2 = reactive_shift(2.0, 1.1, 1, 0.1, *BOUNDS)
+        assert c1 == 2.0
+        assert c2 == pytest.approx(1.0)
 
     def test_inertia_never_adapted(self):
-        out = reactive_update(triple(1.0, 1.0, w=0.55), signal=4, delta=0.1,
-                              bounds=BOUNDS)
-        assert out.inertia == 0.55
+        for tendency in Tendency:
+            cfg = SimConfig(master_seed=8, design=OrgDesign.siloed(2),
+                            tendency=tendency, dim=12, agents=6)
+            state = init_swarm(cfg, replicate_rng(cfg.master_seed, 0))
+            inertia = state.inertia.copy()
+            self_belief = state.self_belief.copy()
+            for t in range(1, 31):
+                step(state, t)
+            assert np.array_equal(state.inertia, inertia)
+            assert not np.array_equal(state.self_belief, self_belief)
 
     def test_invalid_delta(self):
-        with pytest.raises(InvalidParameterError):
-            reactive_update(triple(1.0, 1.0), signal=1, delta=0.0, bounds=BOUNDS)
-        with pytest.raises(InvalidParameterError):
-            reactive_update(triple(1.0, 1.0), signal=1, delta=-0.1, bounds=BOUNDS)
+        # checked once, at the config boundary, not on every step
+        for bad in (0.0, -0.1, "0.1", None):
+            assert rejected_fields(delta=bad) == ["delta"]
 
 
 class TestPressure:
@@ -64,89 +80,73 @@ class TestPressure:
         assert pressure(250, 500) == 0.5
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidParameterError):
-            pressure(10, 0)
-        with pytest.raises(InvalidParameterError):
-            pressure(-1, 100)
+        # the horizon is checked at the config boundary; the engine's
+        # iteration index starts at 1
+        for bad in (0, -5, 2.5, True):
+            assert rejected_fields(pressure_horizon=bad) == ["pressure_horizon"]
 
 
-def make_state(ema=0.0, horizon=500):
-    return PolicyState(tendency=Tendency.PERCEPTIVE, last_fitness=5,
-                       pressure_horizon=horizon, feedback_ema=ema)
+def perceptive(ema, c1, c2, signal, t, horizon=500, alpha=0.1, delta=0.1):
+    return perceptive_shift(ema, c1, c2, signal, t, horizon, alpha, delta, *BOUNDS)
 
 
 class TestPerceptiveUpdate:
     def test_ema_arithmetic(self):
-        state, _ = perceptive_update(make_state(ema=0.0), triple(1.0, 1.0),
-                                     signal=2, t=0, alpha=0.1, delta=0.1,
-                                     bounds=BOUNDS)
-        assert state.feedback_ema == pytest.approx(0.2)
+        ema, _, _ = perceptive(0.0, 1.0, 1.0, signal=2, t=0)
+        assert ema == pytest.approx(0.2)
 
     def test_effective_step_at_t0(self):
         # pressure 0 -> step = delta * alpha = 0.01
-        _, out = perceptive_update(make_state(), triple(1.0, 1.0), signal=2,
-                                   t=0, alpha=0.1, delta=0.1, bounds=BOUNDS)
-        assert out.self_belief == pytest.approx(1.01)
-        assert out.prestige_bias == pytest.approx(0.99)
+        _, c1, c2 = perceptive(0.0, 1.0, 1.0, signal=2, t=0)
+        assert c1 == pytest.approx(1.01)
+        assert c2 == pytest.approx(0.99)
 
     def test_effective_step_saturates_to_delta(self):
-        _, out = perceptive_update(make_state(horizon=500), triple(1.0, 1.0),
-                                   signal=2, t=500, alpha=0.1, delta=0.1,
-                                   bounds=BOUNDS)
-        assert out.self_belief == pytest.approx(1.1)
+        _, c1, _ = perceptive(0.0, 1.0, 1.0, signal=2, t=500)
+        assert c1 == pytest.approx(1.1)
 
     def test_zero_ema_is_fixed_point(self):
-        _, out = perceptive_update(make_state(ema=0.0), triple(1.2, 0.8),
-                                   signal=0, t=100, alpha=0.1, delta=0.1,
-                                   bounds=BOUNDS)
-        assert out.self_belief == pytest.approx(1.2)
-        assert out.prestige_bias == pytest.approx(0.8)
+        _, c1, c2 = perceptive(0.0, 1.2, 0.8, signal=0, t=100)
+        assert c1 == pytest.approx(1.2)
+        assert c2 == pytest.approx(0.8)
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            perceptive_update(make_state(), triple(1, 1), 1, 0, alpha=0.0,
-                              delta=0.1, bounds=BOUNDS)
-        with pytest.raises(InvalidParameterError):
-            perceptive_update(make_state(), triple(1, 1), 1, 0, alpha=0.1,
-                              delta=0.0, bounds=BOUNDS)
+        # checked once, at the config boundary, not on every step
+        for bad in (0.0, -0.5, 1.5, float("nan")):
+            assert rejected_fields(alpha=bad) == ["alpha"]
+        assert rejected_fields(delta=0.0) == ["delta"]
 
     def test_effective_step_monotone_in_time(self):
         steps = []
         for t in (0, 100, 250, 400, 500, 700):
-            _, out = perceptive_update(make_state(ema=5.0), triple(1.0, 1.0),
-                                       signal=5, t=t, alpha=0.1, delta=0.1,
-                                       bounds=BOUNDS)
-            steps.append(out.self_belief - 1.0)
+            _, c1, _ = perceptive(5.0, 1.0, 1.0, signal=5, t=t)
+            steps.append(c1 - 1.0)
         assert all(b >= a - 1e-12 for a, b in zip(steps, steps[1:]))
 
     def test_degenerates_to_reactive_for_alpha_one_past_horizon(self):
         rng = np.random.default_rng(20)
         signals = rng.integers(-3, 4, 200)
-        reactive_c = triple(1.0, 1.0)
-        state = make_state(horizon=50)
-        perceptive_c = triple(1.0, 1.0)
+        reactive_c = (1.0, 1.0)
+        ema, perceptive_c = 0.0, (1.0, 1.0)
         for i, s in enumerate(signals):
             t = 50 + i
-            reactive_c = reactive_update(reactive_c, int(s), 0.1, BOUNDS)
-            state, perceptive_c = perceptive_update(state, perceptive_c, int(s),
-                                                    t, alpha=1.0, delta=0.1,
-                                                    bounds=BOUNDS)
-            assert perceptive_c.self_belief == pytest.approx(reactive_c.self_belief)
-            assert perceptive_c.prestige_bias == pytest.approx(reactive_c.prestige_bias)
+            reactive_c = reactive_shift(*reactive_c, int(s), 0.1, *BOUNDS)
+            ema, *perceptive_c = perceptive(ema, *perceptive_c, int(s), t,
+                                            horizon=50, alpha=1.0)
+            assert perceptive_c[0] == pytest.approx(reactive_c[0])
+            assert perceptive_c[1] == pytest.approx(reactive_c[1])
 
     def test_ema_bounded_by_signal_range(self):
         rng = np.random.default_rng(21)
-        state = make_state()
-        coeffs = triple(1.0, 1.0)
+        ema, c1, c2 = 0.0, 1.0, 1.0
         signals = []
         for t in range(300):
             s = int(rng.integers(-6, 7))
             signals.append(s)
-            state, coeffs = perceptive_update(state, coeffs, s, t, alpha=0.3,
-                                              delta=0.1, bounds=BOUNDS)
+            ema, c1, c2 = perceptive(ema, c1, c2, s, t, alpha=0.3)
             lo = min(signals + [0])
             hi = max(signals + [0])
-            assert lo - 1e-12 <= state.feedback_ema <= hi + 1e-12
+            assert lo - 1e-12 <= ema <= hi + 1e-12
 
 
 class TestBoundsInvariant:

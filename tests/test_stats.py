@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from orgswarm import (InvalidParameterError, aggregate_arm, compare_arms,
-                      first_hit_iteration, mann_whitney_u)
+                      mann_whitney_u, step)
 from orgswarm.stats import _u_tail_counts, censored_values
+from scripted import scripted_state
 
 
 def brute_force_mann_whitney(a, b):
@@ -49,6 +50,16 @@ def brute_force_mann_whitney(a, b):
     return u_obs, min(1.0, (at_most + at_least) / total)
 
 
+def engine_first_hit(fitness_trace):
+    """The first hit the engine records for one agent whose fitness at
+    iterations 0, 1, ... follows ``fitness_trace`` (None when it never hits)."""
+    state = scripted_state([fitness_trace])
+    for t in range(1, len(fitness_trace)):
+        step(state, t)
+    hit = int(state.first_hit[0])
+    return hit if hit >= 0 else None
+
+
 class TestFirstHitIteration:
     @pytest.mark.parametrize("trace,expected", [
         ([3, 1, 0, 0], 2),
@@ -56,17 +67,13 @@ class TestFirstHitIteration:
         ([0, 4, 2], 0),
     ])
     def test_hand_examples(self, trace, expected):
-        assert first_hit_iteration(trace) == expected
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            first_hit_iteration([])
+        assert engine_first_hit(trace) == expected
 
     def test_stable_under_appends_after_first_zero(self):
         base = [5, 2, 0]
-        hit = first_hit_iteration(base)
+        hit = engine_first_hit(base)
         for extra in ([1], [0, 0], [9, 0, 3]):
-            assert first_hit_iteration(base + extra) == hit
+            assert engine_first_hit(base + extra) == hit
 
 
 @dataclass

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from orgswarm import (ConfigError, DesignKind, InvariantViolation, OrgDesign,
-                      SiloAssignment, build_assignment, neighborhood_best,
-                      neighborhood_best_all, reshuffle, silo_leaders)
+                      SiloAssignment, build_assignment, reshuffle, silo_leaders)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def references(assignment, positions, fitnesses):
+    """Each agent's visible best, gathered as the engine's step does."""
+    leader_of_agent = silo_leaders(assignment, fitnesses)[assignment.silo_of]
+    return positions[leader_of_agent], fitnesses[leader_of_agent]
 
 
 class TestBuildAssignment:
@@ -26,7 +31,7 @@ class TestBuildAssignment:
 
     def test_each_agent_in_exactly_one_silo(self):
         a = build_assignment(OrgDesign.siloed(4), 18, rng(3))
-        member_lists = a.members()
+        member_lists = a.members
         all_members = np.concatenate(member_lists)
         assert sorted(all_members.tolist()) == list(range(18))
 
@@ -84,13 +89,14 @@ class TestNeighborhoodBest:
         a = build_assignment(OrgDesign.fully_networked(), 3, rng())
         positions = np.array([[0, 0], [1, 1], [1, 0]], dtype=np.int8)
         fits = np.array([3, 1, 2])
-        assert np.array_equal(neighborhood_best(0, a, positions, fits), [1, 1])
+        assert np.array_equal(references(a, positions, fits)[0][0], [1, 1])
 
     def test_tie_breaks_to_lowest_index(self):
         a = build_assignment(OrgDesign.fully_networked(), 3, rng())
         positions = np.array([[0, 0], [1, 1], [1, 0]], dtype=np.int8)
         fits = np.array([2, 2, 3])
-        assert np.array_equal(neighborhood_best(2, a, positions, fits), [0, 0])
+        assert silo_leaders(a, fits).tolist() == [0]
+        assert np.array_equal(references(a, positions, fits)[0][2], [0, 0])
 
     def test_two_silos_scoped_argmin(self):
         # silos {0,1} and {2,3}, fitnesses [3,1,4,2]:
@@ -98,26 +104,32 @@ class TestNeighborhoodBest:
         a = SiloAssignment(np.array([0, 0, 1, 1]), 2)
         positions = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int8)
         fits = np.array([3, 1, 4, 2])
-        assert np.array_equal(neighborhood_best(0, a, positions, fits), [0, 1])
-        assert np.array_equal(neighborhood_best(2, a, positions, fits), [1, 1])
+        assert silo_leaders(a, fits).tolist() == [1, 3]
+        gb, _ = references(a, positions, fits)
+        assert np.array_equal(gb[0], [0, 1])
+        assert np.array_equal(gb[2], [1, 1])
 
     def test_fully_networked_reference_identical_for_all(self):
         r = rng(12)
         a = build_assignment(OrgDesign.fully_networked(), 8, r)
         positions = r.integers(0, 2, (8, 6), dtype=np.int8)
         fits = r.integers(0, 7, 8)
-        gb, gb_fit = neighborhood_best_all(a, positions, fits)
+        gb, gb_fit = references(a, positions, fits)
         assert (gb == gb[0]).all()
         assert (gb_fit == fits.min()).all()
 
     def test_vectorized_matches_scalar(self):
+        # brute force: agent i sees the silo-mate with the lowest
+        # (fitness, index)
         r = rng(13)
         a = build_assignment(OrgDesign.siloed(3), 9, r)
         positions = r.integers(0, 2, (9, 5), dtype=np.int8)
         fits = r.integers(0, 6, 9)
-        gb_all, _ = neighborhood_best_all(a, positions, fits)
+        gb_all, _ = references(a, positions, fits)
         for i in range(9):
-            assert np.array_equal(gb_all[i], neighborhood_best(i, a, positions, fits))
+            mates = [j for j in range(9) if a.silo_of[j] == a.silo_of[i]]
+            best = min(mates, key=lambda j: (fits[j], j))
+            assert np.array_equal(gb_all[i], positions[best])
 
     def test_leader_fitness_is_lower_bound(self):
         r = rng(14)
@@ -132,11 +144,11 @@ class TestNeighborhoodBest:
         r = rng(15)
         a = build_assignment(OrgDesign.siloed(4), 12, r)
         fits = r.integers(5, 25, 12)
-        prev_ref = neighborhood_best_all(a, np.zeros((12, 4), dtype=np.int8), fits)[1]
+        prev_ref = fits[silo_leaders(a, fits)]
         for _ in range(100):
             agent = int(r.integers(12))
             fits[agent] = max(0, fits[agent] - int(r.integers(0, 3)))
-            ref = neighborhood_best_all(a, np.zeros((12, 4), dtype=np.int8), fits)[1]
+            ref = fits[silo_leaders(a, fits)]
             assert (ref <= prev_ref).all()
             prev_ref = ref
 
@@ -151,8 +163,11 @@ class TestAssignmentInvariants:
             SiloAssignment(np.array([0, 0, 0, 1]), 2)
 
     def test_design_validation(self):
-        assert OrgDesign.fully_networked().validate(5) == []
-        assert OrgDesign.siloed(3).validate(10) == []
-        assert OrgDesign.siloed(11).validate(10) != []
-        assert OrgDesign.dynamic(2, 0).validate(10) != []
-        assert OrgDesign(DesignKind.FULLY_NETWORKED, silo_count=2).validate(10) != []
+        assert OrgDesign.fully_networked().validate(5) == {}
+        assert OrgDesign.siloed(3).validate(10) == {}
+        assert list(OrgDesign.siloed(11).validate(10)) == ["silo_count"]
+        assert list(OrgDesign.siloed("5").validate(10)) == ["silo_count"]
+        assert list(OrgDesign.dynamic(2, 0).validate(10)) == ["reshuffle_interval"]
+        assert list(OrgDesign.dynamic(2, True).validate(10)) == ["reshuffle_interval"]
+        assert list(OrgDesign(DesignKind.FULLY_NETWORKED,
+                              silo_count=2).validate(10)) == ["silo_count"]
