@@ -154,20 +154,37 @@ class SwarmState:
     last_fitness: np.ndarray       # (N,) int
     assignment: SiloAssignment
     first_hit: np.ndarray          # (N,) int, -1 = never
+    unhit: int                     # agents with first_hit == -1 (pbest > 0)
     t: int = 0
     group_convergence: int | None = None
-    trace_best: list = field(default_factory=list)
-    trace_mean: list = field(default_factory=list)
+    # fitness at t = 0..t (trace group|full); None records nothing per step
+    fitness_rows: list | None = None
+    # (silo_of, self_belief, prestige_bias) at t = 0..t (trace full)
     full_rows: list | None = None
 
-    def _record_full_row(self):
-        self.full_rows.append((
-            self.t,
-            self.fitness.copy(),
-            self.assignment.silo_of.copy(),
-            self.self_belief.copy(),
-            self.prestige_bias.copy(),
-        ))
+    def _record(self):
+        if self.fitness_rows is not None:
+            self.fitness_rows.append(self.fitness)
+        if self.full_rows is not None:
+            self.full_rows.append((self.assignment.silo_of, self.self_belief.copy(),
+                                   self.prestige_bias.copy()))
+
+    def _fitness_trace(self) -> np.ndarray:
+        """Fitness at t = 1..t as a (t, N) array; empty when not recorded."""
+        rows = (self.fitness_rows or ())[1:]
+        if not rows:
+            return np.empty((0, self.config.agents), dtype=np.int64)
+        return np.array(rows)
+
+    @property
+    def trace_best(self) -> np.ndarray:
+        """Best (lowest) current fitness at t = 1..t."""
+        return self._fitness_trace().min(axis=1)
+
+    @property
+    def trace_mean(self) -> np.ndarray:
+        """Mean current fitness at t = 1..t."""
+        return self._fitness_trace().mean(axis=1)
 
 
 @dataclass
@@ -195,12 +212,15 @@ class ReplicateResult:
 
 
 def init_swarm(config: SimConfig, rng: np.random.Generator,
-               collect_full_trace: bool = False) -> SwarmState:
+               trace_level: str = "group") -> SwarmState:
     """Build the initial swarm state; evaluates iteration t=0.
 
     Velocities start at zero, personal bests at the initial positions.
+    ``config`` must have passed :meth:`SimConfig.validate`; it is not
+    re-checked here. ``trace_level`` is one of :data:`TRACE_LEVELS`: "group"
+    keeps every iteration's fitness, "full" also each agent's silo and
+    coefficients, "none" nothing per iteration.
     """
-    config.validate()
     goal = random_position(config.dim, rng)
     positions = random_positions(config.agents, config.dim, rng)
     inertia = rng.uniform(*config.inertia_init, config.agents)
@@ -225,12 +245,13 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
         last_fitness=fit.copy(),
         assignment=assignment,
         first_hit=first_hit,
+        unhit=np.count_nonzero(fit),
+        fitness_rows=[] if trace_level != "none" else None,
+        full_rows=[] if trace_level == "full" else None,
     )
-    if (first_hit >= 0).all():
+    if state.unhit == 0:
         state.group_convergence = 0
-    if collect_full_trace:
-        state.full_rows = []
-        state._record_full_row()
+    state._record()
     return state
 
 
@@ -240,7 +261,9 @@ def step(state: SwarmState, t: int) -> SwarmState:
     Order: reshuffle when due -> neighborhood bests from the previous
     iteration's memory -> velocity update, clamp, stochastic binarization ->
     evaluation -> personal-best update (strict improvement) -> policy update
-    -> bookkeeping. Mutates and returns ``state``.
+    -> bookkeeping. Mutates and returns ``state``. Each step's fitness and
+    silo arrays are new objects, never written in place, so the rows that
+    ``_record`` keeps without copying hold their values.
     """
     cfg = state.config
     if t != state.t + 1:
@@ -256,22 +279,24 @@ def step(state: SwarmState, t: int) -> SwarmState:
         ref_fit, ref_pos = state.fitness, state.positions
     gbest = ref_pos[silo_leaders(state.assignment, ref_fit)[state.assignment.silo_of]]
 
+    shape = state.positions.shape
     c1 = state.self_belief[:, None]
     c2 = state.prestige_bias[:, None]
     if cfg.stochastic_acceleration:
-        c1 = c1 * state.rng.random(state.positions.shape)
-        c2 = c2 * state.rng.random(state.positions.shape)
+        c1 = c1 * state.rng.random(shape)
+        c2 = c2 * state.rng.random(shape)
     vel = update_velocity(state.velocities, state.positions,
                           state.pbest_positions, gbest,
                           state.inertia[:, None], c1, c2)
     vel = clamp_velocity(vel, cfg.v_max)
-    draws = state.rng.random(state.positions.shape)
-    new_pos = (draws < sigmoid(vel)).astype(BIT_DTYPE)
+    # bool and int8 share a byte layout: the view gives the 0/1 bits without a copy
+    new_pos = (state.rng.random(shape) < sigmoid(vel)).view(BIT_DTYPE)
 
     if cfg.freeze_on_goal:
-        frozen = state.first_hit >= 0
-        new_pos[frozen] = state.positions[frozen]
-        vel[frozen] = state.velocities[frozen]
+        live = state.first_hit < 0
+        frozen = ~live[:, None]
+        np.copyto(new_pos, state.positions, where=frozen)
+        np.copyto(vel, state.velocities, where=frozen)
 
     state.velocities = vel
     state.positions = new_pos
@@ -279,50 +304,52 @@ def step(state: SwarmState, t: int) -> SwarmState:
     state.fitness = fit
 
     improved = fit < state.pbest_fitness
-    state.pbest_positions[improved] = new_pos[improved]
-    state.pbest_fitness[improved] = fit[improved]
+    np.copyto(state.pbest_positions, new_pos, where=improved[:, None])
+    np.minimum(state.pbest_fitness, fit, out=state.pbest_fitness)
 
     signal = state.last_fitness - fit
-    lo, hi = cfg.coeff_min, cfg.coeff_max
+    ema, belief, bias = state.feedback_ema, state.self_belief, state.prestige_bias
     if cfg.freeze_on_goal:
-        live = state.first_hit < 0
-    else:
-        live = slice(None)
+        ema, belief, bias, signal = ema[live], belief[live], bias[live], signal[live]
     if cfg.tendency is Tendency.REACTIVE:
-        c1n, c2n = reactive_shift(state.self_belief[live], state.prestige_bias[live],
-                                  signal[live], cfg.delta, lo, hi)
-        state.self_belief[live] = c1n
-        state.prestige_bias[live] = c2n
+        belief, bias = reactive_shift(belief, bias, signal, cfg.delta,
+                                      cfg.coeff_min, cfg.coeff_max)
     else:
-        ema, c1n, c2n = perceptive_shift(
-            state.feedback_ema[live], state.self_belief[live],
-            state.prestige_bias[live], signal[live], t,
-            cfg.pressure_horizon, cfg.alpha, cfg.delta, lo, hi)
+        ema, belief, bias = perceptive_shift(ema, belief, bias, signal, t,
+                                             cfg.pressure_horizon, cfg.alpha, cfg.delta,
+                                             cfg.coeff_min, cfg.coeff_max)
+    if cfg.freeze_on_goal:
         state.feedback_ema[live] = ema
-        state.self_belief[live] = c1n
-        state.prestige_bias[live] = c2n
+        state.self_belief[live] = belief
+        state.prestige_bias[live] = bias
+    else:
+        state.feedback_ema, state.self_belief, state.prestige_bias = ema, belief, bias
     state.last_fitness = fit
 
-    newly = (state.first_hit < 0) & (fit == 0)
-    state.first_hit[newly] = t
+    # An agent has hit the goal iff its personal best is 0 (fitness >= 0).
+    unhit = np.count_nonzero(state.pbest_fitness)
+    if unhit < state.unhit:
+        state.first_hit[(fit == 0) & (state.first_hit < 0)] = t
+        state.unhit = unhit
+        if unhit == 0:
+            state.group_convergence = t
     state.t = t
-    state.trace_best.append(int(fit.min()))
-    state.trace_mean.append(float(fit.mean()))
-    if state.group_convergence is None and (state.first_hit >= 0).all():
-        state.group_convergence = t
-    if state.full_rows is not None:
-        state._record_full_row()
+    state._record()
     return state
 
 
 def run_replicate(config: SimConfig, replicate_index: int,
                   trace_level: str = "group") -> ReplicateResult:
-    """Run one seeded replicate to group convergence or the iteration budget."""
+    """Run one seeded replicate to group convergence or the iteration budget.
+
+    ``config`` must have passed :meth:`SimConfig.validate`. At trace level
+    "none" the result's ``trace_best``/``trace_mean`` are empty.
+    """
     if trace_level not in TRACE_LEVELS:
         raise InvalidParameterError(f"trace_level must be none|group|full, got {trace_level}")
     seed = derive_replicate_seed(config.master_seed, replicate_index)
     state = init_swarm(config, replicate_rng(config.master_seed, replicate_index),
-                       collect_full_trace=(trace_level == "full"))
+                       trace_level)
     initial_best = int(state.fitness.min())
     initial_mean = float(state.fitness.mean())
     while state.group_convergence is None and state.t < config.max_iterations:
@@ -334,14 +361,15 @@ def run_replicate(config: SimConfig, replicate_index: int,
     hits = state.first_hit[state.first_hit >= 0]
     full = None
     if state.full_rows is not None:
+        silo, self_belief, prestige_bias = (np.array(column)
+                                            for column in zip(*state.full_rows))
         full = {
-            "iteration": np.array([r[0] for r in state.full_rows], dtype=np.int64),
-            "fitness": np.stack([r[1] for r in state.full_rows]),
-            "silo": np.stack([r[2] for r in state.full_rows]),
-            "inertia": np.broadcast_to(state.inertia,
-                                       (len(state.full_rows), config.agents)).copy(),
-            "self_belief": np.stack([r[3] for r in state.full_rows]),
-            "prestige_bias": np.stack([r[4] for r in state.full_rows]),
+            "iteration": np.arange(state.t + 1, dtype=np.int64),
+            "fitness": np.array(state.fitness_rows),
+            "silo": silo,
+            "inertia": np.broadcast_to(state.inertia, silo.shape).copy(),
+            "self_belief": self_belief,
+            "prestige_bias": prestige_bias,
         }
     return ReplicateResult(
         replicate_index=replicate_index,
@@ -354,8 +382,8 @@ def run_replicate(config: SimConfig, replicate_index: int,
         max_iterations=config.max_iterations,
         initial_best=initial_best,
         initial_mean=initial_mean,
-        trace_best=np.asarray(state.trace_best, dtype=np.int64),
-        trace_mean=np.asarray(state.trace_mean, dtype=float),
+        trace_best=state.trace_best,
+        trace_mean=state.trace_mean,
         final_best_fitness=int(state.pbest_fitness.min()),
         full_trace=full,
     )

@@ -239,14 +239,17 @@ class ExperimentOutput:
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     """Run every arm x replicate, aggregate, and write all output files.
 
+    Every arm's config is validated once, before anything is written or run.
     Results are identical regardless of worker count: each replicate's stream
     depends only on (master_seed, replicate index), and every output row is
     sorted before writing.
     """
+    trace_level = _check_trace(spec.trace)
+    workers = _check_workers(spec.workers) or os.cpu_count() or 1
+    for arm in spec.arms:
+        arm.config.validate()
     out = Path(out_dir) if out_dir is not None else Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = spec.workers or os.cpu_count() or 1
-    trace_level = spec.trace
 
     results: dict[str, list[ReplicateResult]] = {}
     if workers == 1:
@@ -267,7 +270,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
                 arm_results = [r for f in futures[arm.label] for r in f.result()]
                 results[arm.label] = _collect(arm, arm_results, trace_level, out)
 
-    summaries = [aggregate_arm(results[arm.label], arm.label) for arm in spec.arms]
+    summaries = [aggregate_arm(results[arm.label], arm.label,
+                               curves=trace_level != "none")
+                 for arm in spec.arms]
     comparisons = []
     for sa, sb in itertools.combinations(sorted(s.label for s in summaries), 2):
         comparisons.append((sa, sb, *_compare_pair(results[sa], results[sb])))

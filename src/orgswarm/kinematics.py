@@ -20,7 +20,7 @@ import numpy as np
 
 def sigmoid(x):
     """Logistic transfer 1 / (1 + e^-x); strictly increasing, range (0, 1)."""
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+    return 1.0 / (1.0 + np.exp(np.negative(x, dtype=float)))
 
 
 def update_velocity(velocity, position, personal_best, neighborhood_best,
@@ -38,5 +38,15 @@ def update_velocity(velocity, position, personal_best, neighborhood_best,
 
 
 def clamp_velocity(velocity, v_max: float):
-    """Clamp every component into [-v_max, +v_max]."""
-    return np.clip(velocity, -v_max, v_max)
+    """Clamp every component into [-v_max, +v_max]; same values as ``np.clip``."""
+    return clamp(velocity, -v_max, v_max)
+
+
+def clamp(x, lo, hi):
+    """``np.clip(x, lo, hi)`` for ``lo <= hi`` without its Python wrapper.
+
+    The bound comes first in each call: ``np.maximum(lo, x)`` returns ``lo``
+    where ``x == lo``, as ``np.clip`` does, so signed zeros and NaNs come out
+    exactly as ``np.clip`` gives them.
+    """
+    return np.minimum(hi, np.maximum(lo, x))

@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from .kinematics import clamp
+
 
 class Tendency(str, Enum):
     REACTIVE = "reactive"
@@ -34,8 +36,8 @@ def reactive_shift(self_belief, prestige_bias, signal, step, lo, hi):
     deterioration; zero signal leaves both untouched. Results are clamped to
     [lo, hi]. ``step`` (> 0) may be an array (used by the perceptive ramp)."""
     move = step * np.sign(signal)
-    return (np.clip(self_belief + move, lo, hi),
-            np.clip(prestige_bias - move, lo, hi))
+    return (clamp(self_belief + move, lo, hi),
+            clamp(prestige_bias - move, lo, hi))
 
 
 def perceptive_shift(feedback_ema, self_belief, prestige_bias, signal,

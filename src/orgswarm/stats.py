@@ -35,7 +35,7 @@ class ArmSummary:
     iqr_low: float
     iqr_high: float
     median_first_any_hit: float
-    curve_best: np.ndarray                   # (T,), iterations 1..T
+    curve_best: np.ndarray                   # (T,), iterations 1..T; empty at trace none
     curve_mean: np.ndarray
 
 
@@ -66,18 +66,22 @@ def _padded_curves(results: list[ReplicateResult]) -> tuple[np.ndarray, np.ndarr
     return best.mean(axis=0), mean.mean(axis=0)
 
 
-def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
+def aggregate_arm(results: list[ReplicateResult], label: str,
+                  curves: bool = True) -> ArmSummary:
     """Summarize an arm's replicates.
 
     Never-converged replicates are excluded from the central-tendency
     statistics and surface only in the success rate. Medians use the
     midpoint rule for even counts; the IQR uses linear interpolation.
+    ``curves=False`` (replicates run at trace "none", which records no
+    per-iteration fitness) leaves both curves empty.
     """
     if not results:
         raise InvalidParameterError("aggregate_arm needs at least one result")
     conv = convergence_values(results)
     hits = [r.first_any_hit for r in results if r.first_any_hit is not None]
-    curve_best, curve_mean = _padded_curves(results)
+    curve_best, curve_mean = (_padded_curves(results) if curves
+                              else (np.empty(0), np.empty(0)))
     nan = float("nan")
     return ArmSummary(
         label=label,

@@ -72,13 +72,15 @@ class OrgDesign:
 class SiloAssignment:
     """Partition of agents into silos: ``silo_of[i]`` is agent i's silo index.
 
-    ``members[s]`` lists silo s's agents in ascending order; it is computed
-    once, when the partition is built.
+    Computed once, when the partition is built: ``order`` lists the agents
+    grouped by silo, ascending within each silo (a stable sort of
+    ``silo_of``), and ``starts[s]`` is where silo s begins in ``order``.
     """
 
     silo_of: np.ndarray
     silo_count: int
-    members: list[np.ndarray] = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.silo_of = np.asarray(self.silo_of, dtype=np.int64)
@@ -87,7 +89,8 @@ class SiloAssignment:
             raise InvariantViolation("empty silo in assignment")
         if sizes.max() - sizes.min() > 1:
             raise InvariantViolation(f"unbalanced silo sizes {sizes.tolist()}")
-        self.members = [np.flatnonzero(self.silo_of == s) for s in range(self.silo_count)]
+        self.order = np.argsort(self.silo_of, kind="stable")
+        self.starts = np.cumsum(sizes) - sizes
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.silo_of, minlength=self.silo_count)
@@ -120,13 +123,10 @@ def build_assignment(design: OrgDesign, agent_count: int,
 
 def _random_partition(agent_count: int, silo_count: int,
                       rng: np.random.Generator) -> SiloAssignment:
-    sizes = _balanced_sizes(agent_count, silo_count)
     perm = rng.permutation(agent_count)
     silo_of = np.empty(agent_count, dtype=np.int64)
-    offset = 0
-    for silo, size in enumerate(sizes):
-        silo_of[perm[offset:offset + size]] = silo
-        offset += size
+    silo_of[perm] = np.repeat(np.arange(silo_count),
+                              _balanced_sizes(agent_count, silo_count))
     return SiloAssignment(silo_of, silo_count)
 
 
@@ -136,8 +136,14 @@ def reshuffle(assignment: SiloAssignment, rng: np.random.Generator) -> SiloAssig
 
 
 def silo_leaders(assignment: SiloAssignment, fitnesses: np.ndarray) -> np.ndarray:
-    """Index of the fittest agent in each silo (ties -> lowest agent index)."""
-    leaders = np.empty(assignment.silo_count, dtype=np.int64)
-    for silo, members in enumerate(assignment.members):
-        leaders[silo] = members[np.argmin(fitnesses[members])]
-    return leaders
+    """Index of the fittest agent in each silo (ties -> lowest agent index).
+
+    ``fitnesses`` must be integers. Each agent's key ``fitness * N + index``
+    orders by fitness first and index second, so one minimum per silo of
+    ``order`` finds the leader, and the key modulo N is its index.
+    """
+    n = assignment.silo_of.size
+    order = assignment.order
+    keys = np.multiply(fitnesses[order], n, dtype=np.int64)
+    keys += order
+    return np.minimum.reduceat(keys, assignment.starts) % n

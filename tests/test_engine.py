@@ -202,6 +202,17 @@ class TestRunReplicate:
         assert r.trace_best.size == r.iterations_run
         assert r.trace_mean.size == r.iterations_run
 
+    def test_trace_none_records_nothing_per_step(self):
+        c = config(dim=20, agents=10, max_iterations=99)
+        r = run_replicate(c, 0, "none")
+        assert r.iterations_run > 0
+        assert r.trace_best.size == 0 and r.trace_mean.size == 0
+        g = run_replicate(c, 0, "group")
+        assert g.trace_best.size == g.trace_mean.size == r.iterations_run
+        assert (r.group_convergence, r.final_best_fitness, r.initial_best) == (
+            g.group_convergence, g.final_best_fitness, g.initial_best)
+        assert np.array_equal(r.first_hit, g.first_hit)
+
     def test_never_converged_flagged(self):
         c = config(dim=20, agents=10, max_iterations=3)
         r = run_replicate(c, 0)

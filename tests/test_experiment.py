@@ -5,9 +5,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, DesignKind, OrgDesign, SimConfig, Tendency,
-                      parse_config, parse_config_dict, run_experiment,
-                      serialize_spec, with_overrides)
+from orgswarm import (Arm, ConfigError, DesignKind, ExperimentSpec, OrgDesign,
+                      SimConfig, Tendency, parse_config, parse_config_dict,
+                      run_experiment, serialize_spec, with_overrides)
 
 TINY = {
     "master_seed": 20260808,
@@ -213,6 +213,16 @@ class TestRunExperiment:
         goal = lines[1].split(",")[2]
         assert len(goal) == TINY["dim"] and set(goal) <= {"0", "1"}
 
+    def test_hand_built_spec_validated_before_anything_runs(self, tmp_path):
+        good = parse_config_dict(dict(TINY)).arms[0]
+        bad = Arm("bad", SimConfig(master_seed=1, design=OrgDesign.siloed(2),
+                                   tendency=Tendency.REACTIVE, dim=0))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            run_experiment(ExperimentSpec(arms=[good, bad], workers=1), out_dir=out)
+        assert err.value.fields == ["dim"]
+        assert not out.exists()
+
     def test_summaries_match_results(self, tiny_output):
         output, _ = tiny_output
         for summary in output.summaries:
@@ -252,6 +262,14 @@ class TestTraceLevels:
         assert not (tmp_path / "out" / "curves").exists()
         assert not (tmp_path / "out" / "traces").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_trace_none_summaries_carry_no_curves(self, tmp_path, tiny_output):
+        spec = parse_config_dict({**TINY, "trace": "none"})
+        output = run_experiment(spec, out_dir=tmp_path / "out")
+        for summary in output.summaries:
+            assert summary.curve_best.size == summary.curve_mean.size == 0
+        for summary in tiny_output[0].summaries:
+            assert summary.curve_best.size == TINY["max_iterations"]
 
     def test_trace_full_emits_per_replicate_files(self, tmp_path):
         spec = parse_config_dict({**TINY, "replicates": 2, "trace": "full"})

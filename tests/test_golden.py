@@ -1,11 +1,15 @@
 """Golden outputs: SHA-256 of every file ``run_experiment`` writes.
 
-The digests were recorded from the engine before the per-agent API, the
-``binarization`` field and the hot-path checks were removed; any change to
-a CSV byte, a file name or the set of files written fails this test. The
-matrix is tiny but covers all three designs, both tendencies, historical
-and instantaneous leaders, stochastic acceleration, freeze-on-goal, an
-explicit pressure horizon, never-converged replicates and every trace level.
+The first three cases' digests were recorded from the engine before the
+per-agent API, the ``binarization`` field and the hot-path checks were
+removed, and ``default_shape_full``'s from the engine before its step was
+rewritten around precomputed silo orders and in-place personal bests; any
+change to a CSV byte, a file name or the set of files written fails this
+test. The matrix is tiny but covers all three designs, both tendencies,
+historical and instantaneous leaders, stochastic acceleration,
+freeze-on-goal, an explicit pressure horizon, never-converged replicates and
+every trace level; ``default_shape_full`` runs the paper's 20 x 25 swarm with
+unequal silos (7/7/6).
 """
 
 import hashlib
@@ -41,9 +45,40 @@ CASES = {
              "reshuffle_interval": 1, "freeze_on_goal": True,
              "stochastic_acceleration": True},
         ]},
+    "default_shape_full": {
+        "master_seed": 20261018, "dim": 25, "agents": 20, "max_iterations": 60,
+        "replicates": 2, "silo_count": 3, "workers": 1, "trace": "full",
+        "arms": [
+            {"design": "dynamic", "tendency": "perceptive"},
+            {"design": "siloed", "tendency": "reactive",
+             "gbest_mode": "instantaneous", "stochastic_acceleration": True,
+             "freeze_on_goal": True},
+        ]},
 }
 
 GOLDEN = {
+    'default_shape_full': {
+        'arms.csv':
+            '24dff18d51e842fa9a46e849b34ed574f26966cad7f14a49c868b43e9eb482fb',
+        'comparisons.csv':
+            '21d86fbd0ca6d6a9b682656a18574c04cbf7ba8b5f0b7d3496b99f8148026e77',
+        'curves/dynamic+perceptive.csv':
+            '3363c7812f12113aac11e974687b2c640eda80e160d1ccea6c12ed4d57efdd38',
+        'curves/siloed+reactive.csv':
+            'c6658636c9b9bf917414929e7b2b3919c7c1c89142d904f227ea299095874140',
+        'goals.csv':
+            'a34cfc70eb4adc40418d55234fed46c43de539b17e532835118deea1a6dfc549',
+        'summary.csv':
+            '47b393956b2573f6924e338bed29b1982de96236a42c1c2206db3e47a2fba739',
+        'traces/dynamic+perceptive/replicate_0.csv':
+            'de2749ed845b8940f6d97bebb72fa21cb30b8d7ee82571af1dd2f5a20d14f2ce',
+        'traces/dynamic+perceptive/replicate_1.csv':
+            '0cd944cf7b8f90df3c3bb33ff70ffee9487f52ee0bae3fe4bfa0211513f987f0',
+        'traces/siloed+reactive/replicate_0.csv':
+            '4be8d06d43842d90eb88fcbb8cefdc9f951f3a4fb001cb73d164492ee11d6de8',
+        'traces/siloed+reactive/replicate_1.csv':
+            '0937662055ca3e5ad8bccfea26469ea8031ab80268a9aa65f942dd158f02420c',
+    },
     'grid_group': {
         'arms.csv':
             '13c376fcab42ecbe517de3b30cc5e779ed94243b504dd6d4ddc56c4daba71ea9',

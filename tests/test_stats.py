@@ -119,6 +119,11 @@ class TestAggregateArm:
         assert s.curve_best.size == 6
         assert s.curve_best[-1] == r.trace_best[-1]
 
+    def test_no_curves_without_per_step_trace(self):
+        s = aggregate_arm([FakeResult(3), FakeResult(None)], "arm", curves=False)
+        assert s.curve_best.size == 0 and s.curve_mean.size == 0
+        assert s.successes == 1
+
     def test_censored_values(self):
         vals = censored_values([FakeResult(10), FakeResult(None, max_iterations=100)])
         assert vals == [10, 100]

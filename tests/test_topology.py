@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orgswarm import (ConfigError, DesignKind, InvariantViolation, OrgDesign,
                       SiloAssignment, build_assignment, reshuffle, silo_leaders)
@@ -31,9 +33,10 @@ class TestBuildAssignment:
 
     def test_each_agent_in_exactly_one_silo(self):
         a = build_assignment(OrgDesign.siloed(4), 18, rng(3))
-        member_lists = a.members
-        all_members = np.concatenate(member_lists)
-        assert sorted(all_members.tolist()) == list(range(18))
+        assert sorted(a.order.tolist()) == list(range(18))
+        for silo, members in enumerate(np.split(a.order, a.starts[1:])):
+            assert (a.silo_of[members] == silo).all()
+            assert (np.diff(members) > 0).all()
 
     def test_too_many_silos_rejected(self):
         with pytest.raises(ConfigError):
@@ -171,3 +174,34 @@ class TestAssignmentInvariants:
         assert list(OrgDesign.dynamic(2, True).validate(10)) == ["reshuffle_interval"]
         assert list(OrgDesign(DesignKind.FULLY_NETWORKED,
                               silo_count=2).validate(10)) == ["silo_count"]
+
+
+def brute_force_leaders(assignment, fitnesses):
+    """Per silo, the lowest agent index among the silo's fittest agents."""
+    leaders = []
+    for silo in range(assignment.silo_count):
+        members = [i for i in range(assignment.silo_of.size)
+                   if assignment.silo_of[i] == silo]
+        best = min(fitnesses[i] for i in members)
+        leaders.append(next(i for i in members if fitnesses[i] == best))
+    return leaders
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(agents=st.integers(1, 24), silos=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1), reshuffles=st.integers(0, 3),
+       top=st.sampled_from([0, 1, 2, 25, 10**6]))
+@example(agents=20, silos=3, seed=1, reshuffles=0, top=25)    # sizes 7/7/6
+@example(agents=20, silos=1, seed=2, reshuffles=0, top=1)     # S = 1
+@example(agents=9, silos=9, seed=3, reshuffles=2, top=2)      # S = N
+@example(agents=20, silos=5, seed=4, reshuffles=3, top=0)     # all tied
+def test_leaders_match_brute_force(agents, silos, seed, reshuffles, top):
+    # Small ``top`` gives heavy fitness ties; reshuffles redraw the partition.
+    silos = min(silos, agents)
+    r = rng(seed)
+    design = OrgDesign.fully_networked() if silos == 1 else OrgDesign.siloed(silos)
+    a = build_assignment(design, agents, r)
+    for _ in range(reshuffles):
+        a = reshuffle(a, r)
+    fits = r.integers(0, top + 1, agents)
+    assert silo_leaders(a, fits).tolist() == brute_force_leaders(a, fits)
