@@ -4,8 +4,8 @@
                  [--workers N] [--trace none|group|full]
     orgswarm validate --config cfg.json
 
-Exit codes: 0 success, 2 config error, 3 runtime invariant violation,
-4 I/O error.
+Exit codes: 0 success, 2 config error, 3 runtime invariant violation or a
+dead worker process, 4 I/O error.
 """
 
 from __future__ import annotations

@@ -151,7 +151,6 @@ class SwarmState:
     self_belief: np.ndarray        # (N,) float
     prestige_bias: np.ndarray      # (N,) float
     feedback_ema: np.ndarray       # (N,) float
-    last_fitness: np.ndarray       # (N,) int
     assignment: SiloAssignment
     first_hit: np.ndarray          # (N,) int, -1 = never
     unhit: int                     # agents with first_hit == -1 (pbest > 0)
@@ -204,6 +203,8 @@ class ReplicateResult:
     trace_best: np.ndarray             # (iterations_run,), t = 1..iterations_run
     trace_mean: np.ndarray
     final_best_fitness: int            # min pbest fitness at termination
+    # trace full: "fitness", "silo", "self_belief", "prestige_bias" at
+    # t = 0..iterations_run as (iterations_run + 1, N) arrays; "inertia" (N,)
     full_trace: dict | None = None
 
     @property
@@ -242,7 +243,6 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
         self_belief=self_belief,
         prestige_bias=prestige_bias,
         feedback_ema=np.zeros(config.agents),
-        last_fitness=fit.copy(),
         assignment=assignment,
         first_hit=first_hit,
         unhit=np.count_nonzero(fit),
@@ -301,13 +301,13 @@ def step(state: SwarmState, t: int) -> SwarmState:
     state.velocities = vel
     state.positions = new_pos
     fit = fitness_many(new_pos, state.goal)
+    signal = state.fitness - fit
     state.fitness = fit
 
     improved = fit < state.pbest_fitness
     np.copyto(state.pbest_positions, new_pos, where=improved[:, None])
     np.minimum(state.pbest_fitness, fit, out=state.pbest_fitness)
 
-    signal = state.last_fitness - fit
     ema, belief, bias = state.feedback_ema, state.self_belief, state.prestige_bias
     if cfg.freeze_on_goal:
         ema, belief, bias, signal = ema[live], belief[live], bias[live], signal[live]
@@ -324,7 +324,6 @@ def step(state: SwarmState, t: int) -> SwarmState:
         state.prestige_bias[live] = bias
     else:
         state.feedback_ema, state.self_belief, state.prestige_bias = ema, belief, bias
-    state.last_fitness = fit
 
     # An agent has hit the goal iff its personal best is 0 (fitness >= 0).
     unhit = np.count_nonzero(state.pbest_fitness)
@@ -363,14 +362,9 @@ def run_replicate(config: SimConfig, replicate_index: int,
     if state.full_rows is not None:
         silo, self_belief, prestige_bias = (np.array(column)
                                             for column in zip(*state.full_rows))
-        full = {
-            "iteration": np.arange(state.t + 1, dtype=np.int64),
-            "fitness": np.array(state.fitness_rows),
-            "silo": silo,
-            "inertia": np.broadcast_to(state.inertia, silo.shape).copy(),
-            "self_belief": self_belief,
-            "prestige_bias": prestige_bias,
-        }
+        full = {"fitness": np.array(state.fitness_rows), "silo": silo,
+                "inertia": state.inertia, "self_belief": self_belief,
+                "prestige_bias": prestige_bias}
     return ReplicateResult(
         replicate_index=replicate_index,
         seed=seed,

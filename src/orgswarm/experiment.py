@@ -1,15 +1,22 @@
-"""Experiment grid: JSON config parsing, parallel replication, CSV outputs.
+"""Experiment grid: JSON config parsing, replication in blocks, CSV outputs.
 
 A config is a single strict JSON document (unknown keys are rejected). Only
 ``master_seed`` is required; everything else defaults. Without an ``arms``
 list the standard 3 designs x 2 tendencies grid is expanded.
 
-Outputs (all floats printed with 6 significant digits, rows fully sorted, so
-identical specs produce byte-identical files regardless of worker count):
+Each arm runs as the same blocks of 25 replicates at every worker count,
+through ``map`` at one worker and a process pool's ``map`` otherwise; an
+arm's per-agent traces are written before the next arm's results are taken.
+
+Outputs (one writer, ``_write_csv``: floats with 6 significant digits,
+integers as integers, booleans as 0/1, missing values as empty cells; rows
+fully sorted, so identical specs produce byte-identical files regardless of
+worker count):
 
 * ``summary.csv``   one row per replicate
 * ``arms.csv``      one row per arm
 * ``comparisons.csv`` one row per unordered arm pair
+* ``goals.csv``     one row per replicate: its goal bitstring
 * ``curves/<arm>.csv`` per-iteration convergence curves (trace group|full)
 * ``traces/<arm>/replicate_<i>.csv`` per-agent traces (trace full)
 """
@@ -18,9 +25,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -45,6 +51,7 @@ _SHARED_KEYS = {*_PARAMS, *_DESIGN_PARAMS, "binarization"}
 _TOP_LEVEL_KEYS = _SHARED_KEYS | {"master_seed", "out_dir", "trace", "workers", "arms"}
 _ARM_KEYS = _SHARED_KEYS | {"design", "tendency", "label"}
 _LABEL_FORBIDDEN = "/\\,\n\r\0"
+_BLOCK = 25  # replicates per block
 
 
 @dataclass
@@ -202,10 +209,11 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
     }
 
 
-def _run_block(config: SimConfig, indices: list[int], trace_level: str
+def _run_block(config: SimConfig, start: int, trace_level: str
                ) -> list[ReplicateResult]:
+    """Replicates ``start .. start + _BLOCK - 1`` of one arm, in index order."""
     out = []
-    for i in indices:
+    for i in range(start, min(start + _BLOCK, config.replicates)):
         try:
             out.append(run_replicate(config, i, trace_level))
         except InvariantViolation as e:
@@ -214,17 +222,19 @@ def _run_block(config: SimConfig, indices: list[int], trace_level: str
 
 
 def _fmt(value) -> str:
-    """CSV cell formatting: 6 significant digits, empty cell for missing."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.6g}"
+    """CSV cell: a float to 6 significant digits, None as empty, else str()."""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return "" if value is None else str(value)
+
+
+def _write_csv(path: Path, header: list[str], rows, comment: str | None = None) -> None:
+    """One CSV file: an optional ``# comment`` line, the header, then each
+    row's cells through :func:`_fmt`."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass
@@ -241,8 +251,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
 
     Every arm's config is validated once, before anything is written or run.
     Results are identical regardless of worker count: each replicate's stream
-    depends only on (master_seed, replicate index), and every output row is
-    sorted before writing.
+    depends only on (master_seed, replicate index), every worker count runs
+    the same blocks, and every output row is sorted before writing.
     """
     trace_level = _check_trace(spec.trace)
     workers = _check_workers(spec.workers) or os.cpu_count() or 1
@@ -251,24 +261,20 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     out = Path(out_dir) if out_dir is not None else Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    starts = [(arm.config, start) for arm in spec.arms
+              for start in range(0, arm.config.replicates, _BLOCK)]
     results: dict[str, list[ReplicateResult]] = {}
-    if workers == 1:
+    with _block_map(workers) as block_map:
+        # Blocks come back in submission order, so each arm's results arrive
+        # in replicate order; at trace "full" an arm's traces are written and
+        # dropped before the next arm's blocks are taken.
+        blocks = block_map(_run_block, *zip(*starts), [trace_level] * len(starts))
         for arm in spec.arms:
-            arm_results = _run_block(arm.config, list(range(arm.config.replicates)),
-                                     trace_level)
-            results[arm.label] = _collect(arm, arm_results, trace_level, out)
-    else:
-        chunk = 25
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for arm in spec.arms:
-                indices = list(range(arm.config.replicates))
-                futures[arm.label] = [
-                    pool.submit(_run_block, arm.config, indices[i:i + chunk], trace_level)
-                    for i in range(0, len(indices), chunk)]
-            for arm in spec.arms:
-                arm_results = [r for f in futures[arm.label] for r in f.result()]
-                results[arm.label] = _collect(arm, arm_results, trace_level, out)
+            n_blocks = len(range(0, arm.config.replicates, _BLOCK))
+            results[arm.label] = [r for block in itertools.islice(blocks, n_blocks)
+                                  for r in block]
+            if trace_level == "full":
+                _write_traces(out / "traces" / arm.label, results[arm.label])
 
     summaries = [aggregate_arm(results[arm.label], arm.label,
                                curves=trace_level != "none")
@@ -277,25 +283,25 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     for sa, sb in itertools.combinations(sorted(s.label for s in summaries), 2):
         comparisons.append((sa, sb, *_compare_pair(results[sa], results[sb])))
 
-    _write_summary(out / "summary.csv", spec, results)
-    _write_arms(out / "arms.csv", summaries)
-    _write_comparisons(out / "comparisons.csv", comparisons)
-    _write_goals(out / "goals.csv", spec, results)
-    if trace_level != "none":
-        _write_curves(out / "curves", summaries)
-    return ExperimentOutput(spec, results, summaries, comparisons, out)
+    output = ExperimentOutput(spec, results, summaries, comparisons, out)
+    _write_tables(output)
+    return output
 
 
-def _collect(arm: Arm, arm_results: list[ReplicateResult], trace_level: str,
-             out: Path) -> list[ReplicateResult]:
-    arm_results.sort(key=lambda r: r.replicate_index)
-    if trace_level == "full":
-        trace_dir = out / "traces" / arm.label
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        for r in arm_results:
-            _write_full_trace(trace_dir / f"replicate_{r.replicate_index}.csv", r)
-            r.full_trace = None
-    return arm_results
+@contextmanager
+def _block_map(workers: int):
+    """``map`` at one worker, a process pool's ``map`` otherwise."""
+    if workers == 1:
+        yield map
+        return
+    # Imported here so that a run on one worker never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
+    except BrokenProcessPool as e:
+        raise InvariantViolation(f"a worker process died: {e}") from e
 
 
 def _compare_pair(results_a, results_b) -> tuple[ArmComparison | None, float]:
@@ -308,93 +314,58 @@ def _compare_pair(results_a, results_b) -> tuple[ArmComparison | None, float]:
     return compare_arms(conv_a, conv_b), censored_ratio
 
 
-def _write_rows(path: Path, header: str, rows: list[str]) -> None:
-    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+def _write_tables(output: ExperimentOutput) -> None:
+    """summary.csv, arms.csv, comparisons.csv, goals.csv (each replicate's
+    goal bitstring) and, at trace group|full, curves/<arm>.csv."""
+    out, spec = output.out_dir, output.spec
+    replicates = [(arm.label, r) for arm in spec.arms for r in output.results[arm.label]]
+    _write_csv(out / "summary.csv",
+               ["arm", "replicate", "seed", "group_convergence", "first_any_hit",
+                "success", "final_best_fitness"],
+               ([label, r.replicate_index, r.seed, r.group_convergence, r.first_any_hit,
+                 int(r.success), r.final_best_fitness] for label, r in replicates))
+    _write_csv(out / "arms.csv",
+               ["arm", "n", "success_rate", "median_group_convergence",
+                "mean_group_convergence", "iqr_low", "iqr_high", "median_first_any_hit"],
+               ([s.label, s.n, s.success_rate, s.median_group_convergence,
+                 s.mean_group_convergence, s.iqr_low, s.iqr_high, s.median_first_any_hit]
+                for s in sorted(output.summaries, key=lambda s: s.label)))
+    _write_csv(out / "comparisons.csv",
+               ["arm_a", "arm_b", "median_ratio", "u_statistic", "p_value",
+                "censored_median_ratio"],
+               ([arm_a, arm_b, None, None, None, censored_ratio] if cmp_result is None
+                else [arm_a, arm_b, cmp_result.median_ratio, cmp_result.u_statistic,
+                      cmp_result.p_value, censored_ratio]
+                for arm_a, arm_b, cmp_result, censored_ratio in output.comparisons))
+    _write_csv(out / "goals.csv", ["arm", "replicate", "goal"],
+               ([label, r.replicate_index, to_bitstring(r.goal)] for label, r in replicates))
+    if spec.trace != "none":
+        (out / "curves").mkdir(exist_ok=True)
+        for s in output.summaries:
+            _write_csv(out / "curves" / f"{s.label}.csv",
+                       ["iteration", "mean_best_fitness", "mean_mean_fitness"],
+                       zip(itertools.count(1), s.curve_best.tolist(), s.curve_mean.tolist()))
 
 
-def _write_summary(path: Path, spec: ExperimentSpec,
-                   results: dict[str, list[ReplicateResult]]) -> None:
-    rows = []
-    for arm in spec.arms:
-        for r in results[arm.label]:
-            rows.append(",".join([
-                arm.label,
-                _fmt(r.replicate_index),
-                _fmt(r.seed),
-                _fmt(r.group_convergence),
-                _fmt(r.first_any_hit),
-                _fmt(r.success),
-                _fmt(r.final_best_fitness),
-            ]))
-    _write_rows(path, "arm,replicate,seed,group_convergence,first_any_hit,"
-                      "success,final_best_fitness", rows)
-
-
-def _write_arms(path: Path, summaries: list[ArmSummary]) -> None:
-    rows = []
-    for s in sorted(summaries, key=lambda s: s.label):
-        rows.append(",".join([
-            s.label, _fmt(s.n), _fmt(s.success_rate),
-            _fmt(s.median_group_convergence), _fmt(s.mean_group_convergence),
-            _fmt(s.iqr_low), _fmt(s.iqr_high), _fmt(s.median_first_any_hit),
-        ]))
-    _write_rows(path, "arm,n,success_rate,median_group_convergence,"
-                      "mean_group_convergence,iqr_low,iqr_high,median_first_any_hit",
-                rows)
-
-
-def _write_comparisons(path: Path, comparisons) -> None:
-    rows = []
-    for arm_a, arm_b, cmp_result, censored_ratio in comparisons:
-        if cmp_result is None:
-            rows.append(f"{arm_a},{arm_b},,,,{_fmt(censored_ratio)}")
-        else:
-            rows.append(",".join([
-                arm_a, arm_b, _fmt(cmp_result.median_ratio),
-                _fmt(cmp_result.u_statistic), _fmt(cmp_result.p_value),
-                _fmt(censored_ratio),
-            ]))
-    _write_rows(path, "arm_a,arm_b,median_ratio,u_statistic,p_value,"
-                      "censored_median_ratio", rows)
-
-
-def _write_goals(path: Path, spec: ExperimentSpec,
-                 results: dict[str, list[ReplicateResult]]) -> None:
-    """Record each replicate's goal bitstring for reproducibility."""
-    rows = [f"{arm.label},{r.replicate_index},{to_bitstring(r.goal)}"
-            for arm in spec.arms for r in results[arm.label]]
-    _write_rows(path, "arm,replicate,goal", rows)
-
-
-def _write_curves(curve_dir: Path, summaries: list[ArmSummary]) -> None:
-    curve_dir.mkdir(parents=True, exist_ok=True)
-    for s in summaries:
-        rows = [f"{t + 1},{_fmt(s.curve_best[t])},{_fmt(s.curve_mean[t])}"
-                for t in range(s.curve_best.size)]
-        _write_rows(curve_dir / f"{s.label}.csv",
-                    "iteration,mean_best_fitness,mean_mean_fitness", rows)
-
-
-def _write_full_trace(path: Path, r: ReplicateResult) -> None:
-    ft = r.full_trace
-    n_agents = ft["fitness"].shape[1]
-    header = ["iteration", "best_fitness", "mean_fitness"]
-    header += [f"fitness_of_agent_{i}" for i in range(n_agents)]
-    header += [f"silo_of_agent_{i}" for i in range(n_agents)]
-    header += [f"W_{i}" for i in range(n_agents)]
-    header += [f"C1_{i}" for i in range(n_agents)]
-    header += [f"C2_{i}" for i in range(n_agents)]
-    rows = [f"# goal={to_bitstring(r.goal)}", ",".join(header)]
-    for k, t in enumerate(ft["iteration"]):
-        fit_row = ft["fitness"][k]
-        cells = [str(int(t)), _fmt(int(fit_row.min())), _fmt(float(fit_row.mean()))]
-        cells += [str(int(v)) for v in fit_row]
-        cells += [str(int(v)) for v in ft["silo"][k]]
-        cells += [_fmt(v) for v in ft["inertia"][k]]
-        cells += [_fmt(v) for v in ft["self_belief"][k]]
-        cells += [_fmt(v) for v in ft["prestige_bias"][k]]
-        rows.append(",".join(cells))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+def _write_traces(trace_dir: Path, arm_results: list[ReplicateResult]) -> None:
+    """One per-agent trace file per replicate; drops each written full trace."""
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    for r in arm_results:
+        ft = r.full_trace
+        n_agents = ft["fitness"].shape[1]
+        header = ["iteration", "best_fitness", "mean_fitness"]
+        header += [f"{column}{i}" for column in ("fitness_of_agent_", "silo_of_agent_",
+                                                 "W_", "C1_", "C2_")
+                   for i in range(n_agents)]
+        best = [r.initial_best, *r.trace_best.tolist()]
+        mean = [r.initial_mean, *r.trace_mean.tolist()]
+        inertia = ft["inertia"].tolist()
+        _write_csv(trace_dir / f"replicate_{r.replicate_index}.csv", header,
+                   ([t, best[t], mean[t], *ft["fitness"][t].tolist(),
+                     *ft["silo"][t].tolist(), *inertia, *ft["self_belief"][t].tolist(),
+                     *ft["prestige_bias"][t].tolist()] for t in range(len(best))),
+                   comment=f"goal={to_bitstring(r.goal)}")
+        r.full_trace = None
 
 
 def with_overrides(spec: ExperimentSpec, master_seed: int | None = None,

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -144,6 +145,37 @@ class TestRun:
         rc = main(["run", "--config", write_config(tmp_path, TINY)])
         assert rc == 3
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched module only when forked")
+    def test_dead_worker_exit_3(self, tmp_path, monkeypatch, capsys):
+        import orgswarm.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "run_replicate", _exit_process)
+        rc = main(["run", "--config", write_config(tmp_path, TINY),
+                   "--out", str(tmp_path / "out"), "--workers", "2"])
+        assert rc == 3
+        assert "worker process died" in capsys.readouterr().err
+
+
+def _exit_process(*args):
+    os._exit(1)
+
+
+def _package_env():
+    """The environment with the imported package's directory first on PYTHONPATH."""
+    pkg_root = str(Path(orgswarm.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_loads_no_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, orgswarm.cli; "
+                               "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=_package_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 def _run_help(argv, env=None):
     return subprocess.run(argv + ["--help"], capture_output=True, text=True,
@@ -167,10 +199,7 @@ def test_console_script_installed():
                        group="console_scripts")
     assert entry.load() is main
 
-    pkg_root = str(Path(orgswarm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
-    proc = _run_help([sys.executable, "-m", "orgswarm"], env=env)
+    proc = _run_help([sys.executable, "-m", "orgswarm"], env=_package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: orgswarm")
 

@@ -224,9 +224,9 @@ class TestRunReplicate:
         c = config(max_iterations=25)
         r = run_replicate(c, 0, trace_level="full")
         ft = r.full_trace
-        assert ft["iteration"][0] == 0
-        assert ft["iteration"][-1] == r.iterations_run
-        assert ft["fitness"].shape == (r.iterations_run + 1, c.agents)
+        for key in ("fitness", "silo", "self_belief", "prestige_bias"):
+            assert ft[key].shape == (r.iterations_run + 1, c.agents)
+        assert ft["inertia"].shape == (c.agents,)
         # first hits re-derivable from the per-agent fitness trace
         for agent in range(c.agents):
             zeros = np.flatnonzero(ft["fitness"][:, agent] == 0)
@@ -246,7 +246,6 @@ class TestRunReplicate:
             s.pbest_positions = np.array([[0, 1, 0, 0], [1, 1, 0, 0]], dtype=np.int8)
             s.fitness = (s.positions != s.goal).sum(axis=1)      # [1, 4]
             s.pbest_fitness = (s.pbest_positions != s.goal).sum(axis=1)  # [3, 2]
-            s.last_fitness = s.fitness.copy()
             s.velocities[:] = 0.0
             step(s, 1)
             states[mode] = s.velocities.copy()
@@ -273,7 +272,6 @@ class TestRunReplicate:
         s.pbest_positions = s.positions.copy()
         s.fitness = np.zeros(5, dtype=s.fitness.dtype)
         s.pbest_fitness = np.zeros(5, dtype=s.pbest_fitness.dtype)
-        s.last_fitness = s.fitness.copy()
         s.velocities[:] = 0.0
         s.first_hit[:] = 0
         s.group_convergence = 0

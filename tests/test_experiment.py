@@ -254,6 +254,18 @@ class TestDeterminism:
         for name in ("summary.csv", "arms.csv", "comparisons.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    def test_every_file_independent_of_worker_count(self, tmp_path):
+        # 27 replicates make two blocks per arm; trace full writes every file kind.
+        spec = {**TINY, "replicates": 27, "trace": "full"}
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_experiment(parse_config_dict({**spec, "workers": workers}), out_dir=out)
+            outputs[workers] = {p.relative_to(out): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(outputs[1]) == 4 + 6 + 6 * 27
+        assert outputs[1] == outputs[2]
+
 
 class TestTraceLevels:
     def test_trace_none_emits_no_trace_files(self, tmp_path):
