@@ -168,23 +168,6 @@ class SwarmState:
             self.full_rows.append((self.assignment.silo_of, self.self_belief.copy(),
                                    self.prestige_bias.copy()))
 
-    def _fitness_trace(self) -> np.ndarray:
-        """Fitness at t = 1..t as a (t, N) array; empty when not recorded."""
-        rows = (self.fitness_rows or ())[1:]
-        if not rows:
-            return np.empty((0, self.config.agents), dtype=np.int64)
-        return np.array(rows)
-
-    @property
-    def trace_best(self) -> np.ndarray:
-        """Best (lowest) current fitness at t = 1..t."""
-        return self._fitness_trace().min(axis=1)
-
-    @property
-    def trace_mean(self) -> np.ndarray:
-        """Mean current fitness at t = 1..t."""
-        return self._fitness_trace().mean(axis=1)
-
 
 @dataclass
 class ReplicateResult:
@@ -358,11 +341,13 @@ def run_replicate(config: SimConfig, replicate_index: int,
             raise InvariantViolation(f"iteration {state.t + 1}: {e}") from e
 
     hits = state.first_hit[state.first_hit >= 0]
+    # fitness at t = 0..iterations_run, stacked once; (0, N) at trace "none"
+    fitness = np.array(state.fitness_rows or (), dtype=np.int64).reshape(-1, config.agents)
     full = None
     if state.full_rows is not None:
         silo, self_belief, prestige_bias = (np.array(column)
                                             for column in zip(*state.full_rows))
-        full = {"fitness": np.array(state.fitness_rows), "silo": silo,
+        full = {"fitness": fitness, "silo": silo,
                 "inertia": state.inertia, "self_belief": self_belief,
                 "prestige_bias": prestige_bias}
     return ReplicateResult(
@@ -376,8 +361,8 @@ def run_replicate(config: SimConfig, replicate_index: int,
         max_iterations=config.max_iterations,
         initial_best=initial_best,
         initial_mean=initial_mean,
-        trace_best=state.trace_best,
-        trace_mean=state.trace_mean,
+        trace_best=fitness[1:].min(axis=1),
+        trace_mean=fitness[1:].mean(axis=1),
         final_best_fitness=int(state.pbest_fitness.min()),
         full_trace=full,
     )

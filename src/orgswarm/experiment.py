@@ -8,10 +8,12 @@ Each arm runs as the same blocks of 25 replicates at every worker count,
 through ``map`` at one worker and a process pool's ``map`` otherwise; an
 arm's per-agent traces are written before the next arm's results are taken.
 
-Outputs (one writer, ``_write_csv``: floats with 6 significant digits,
-integers as integers, booleans as 0/1, missing values as empty cells; rows
-fully sorted, so identical specs produce byte-identical files regardless of
-worker count):
+Outputs go through one writer, ``_write_csv``, and one cell rule, ``_CELL``:
+an int column prints with ``%d``, a float column with ``%.6g`` (the text of
+``f"{x:.6g}"``), a str column with ``%s``, a missing (None) cell empty. Each
+file's row format is built once from its column types (a trace file's also
+holds its fixed ``W_*`` cells). Arms are written in label order and all row
+orders are fixed, so a spec gives byte-identical files at any worker count:
 
 * ``summary.csv``   one row per replicate
 * ``arms.csv``      one row per arm
@@ -221,19 +223,25 @@ def _run_block(config: SimConfig, start: int, trace_level: str
     return out
 
 
-def _fmt(value) -> str:
-    """CSV cell: a float to 6 significant digits, None as empty, else str()."""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return "" if value is None else str(value)
+_CELL = {int: "%d", float: "%.6g", str: "%s"}  # the cell rule: %-conversion by type
 
 
-def _write_csv(path: Path, header: list[str], rows, comment: str | None = None) -> None:
-    """One CSV file: an optional ``# comment`` line, the header, then each
-    row's cells through :func:`_fmt`."""
+def _row_format(types) -> str:
+    """One row's %-format: the cell rule's conversion for each column type."""
+    return ",".join([_CELL[t] for t in types])
+
+
+def _maybe(kind: type, value) -> str:
+    """A str column's cell for a ``kind`` value that may be None (empty)."""
+    return "" if value is None else _CELL[kind] % value
+
+
+def _write_csv(path: Path, header: str, fmt: str, rows, comment: str | None = None) -> None:
+    """One CSV file: an optional ``# comment`` line, the header line, then
+    ``fmt % row`` for each row tuple (``fmt`` built by :func:`_row_format`)."""
     lines = [] if comment is None else [f"# {comment}"]
-    lines.append(",".join(header))
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines.append(header)
+    lines += [fmt % row for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -250,18 +258,19 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     """Run every arm x replicate, aggregate, and write all output files.
 
     Every arm's config is validated once, before anything is written or run.
-    Results are identical regardless of worker count: each replicate's stream
-    depends only on (master_seed, replicate index), every worker count runs
-    the same blocks, and every output row is sorted before writing.
+    Results are identical regardless of worker count and arm order: each
+    replicate's stream depends only on (master_seed, replicate index), every
+    worker count runs the same blocks, and every output row order is fixed.
     """
     trace_level = _check_trace(spec.trace)
     workers = _check_workers(spec.workers) or os.cpu_count() or 1
-    for arm in spec.arms:
+    arms = sorted(spec.arms, key=lambda arm: arm.label)
+    for arm in arms:
         arm.config.validate()
     out = Path(out_dir) if out_dir is not None else Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    starts = [(arm.config, start) for arm in spec.arms
+    starts = [(arm.config, start) for arm in arms
               for start in range(0, arm.config.replicates, _BLOCK)]
     results: dict[str, list[ReplicateResult]] = {}
     with _block_map(workers) as block_map:
@@ -269,19 +278,17 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
         # in replicate order; at trace "full" an arm's traces are written and
         # dropped before the next arm's blocks are taken.
         blocks = block_map(_run_block, *zip(*starts), [trace_level] * len(starts))
-        for arm in spec.arms:
+        for arm in arms:
             n_blocks = len(range(0, arm.config.replicates, _BLOCK))
             results[arm.label] = [r for block in itertools.islice(blocks, n_blocks)
                                   for r in block]
             if trace_level == "full":
                 _write_traces(out / "traces" / arm.label, results[arm.label])
 
-    summaries = [aggregate_arm(results[arm.label], arm.label,
-                               curves=trace_level != "none")
-                 for arm in spec.arms]
-    comparisons = []
-    for sa, sb in itertools.combinations(sorted(s.label for s in summaries), 2):
-        comparisons.append((sa, sb, *_compare_pair(results[sa], results[sb])))
+    summaries = [aggregate_arm(results[label], label, curves=trace_level != "none")
+                 for label in results]
+    comparisons = [(sa, sb, *_compare_pair(results[sa], results[sb]))
+                   for sa, sb in itertools.combinations(results, 2)]
 
     output = ExperimentOutput(spec, results, summaries, comparisons, out)
     _write_tables(output)
@@ -315,55 +322,62 @@ def _compare_pair(results_a, results_b) -> tuple[ArmComparison | None, float]:
 
 
 def _write_tables(output: ExperimentOutput) -> None:
-    """summary.csv, arms.csv, comparisons.csv, goals.csv (each replicate's
-    goal bitstring) and, at trace group|full, curves/<arm>.csv."""
-    out, spec = output.out_dir, output.spec
-    replicates = [(arm.label, r) for arm in spec.arms for r in output.results[arm.label]]
+    """summary.csv, arms.csv, comparisons.csv, goals.csv (each replicate's goal
+    bitstring) and, at trace group|full, curves/<arm>.csv, arms in label order."""
+    out = output.out_dir
+    replicates = [(label, r) for label, arm_results in output.results.items()
+                  for r in arm_results]
     _write_csv(out / "summary.csv",
-               ["arm", "replicate", "seed", "group_convergence", "first_any_hit",
-                "success", "final_best_fitness"],
-               ([label, r.replicate_index, r.seed, r.group_convergence, r.first_any_hit,
-                 int(r.success), r.final_best_fitness] for label, r in replicates))
+               "arm,replicate,seed,group_convergence,first_any_hit,success,final_best_fitness",
+               _row_format((str, int, int, str, str, int, int)),
+               ((label, r.replicate_index, r.seed, _maybe(int, r.group_convergence),
+                 _maybe(int, r.first_any_hit), int(r.success), r.final_best_fitness)
+                for label, r in replicates))
     _write_csv(out / "arms.csv",
-               ["arm", "n", "success_rate", "median_group_convergence",
-                "mean_group_convergence", "iqr_low", "iqr_high", "median_first_any_hit"],
-               ([s.label, s.n, s.success_rate, s.median_group_convergence,
-                 s.mean_group_convergence, s.iqr_low, s.iqr_high, s.median_first_any_hit]
-                for s in sorted(output.summaries, key=lambda s: s.label)))
+               "arm,n,success_rate,median_group_convergence,mean_group_convergence,"
+               "iqr_low,iqr_high,median_first_any_hit",
+               _row_format((str, int, *[float] * 6)),
+               ((s.label, s.n, s.success_rate, s.median_group_convergence,
+                 s.mean_group_convergence, s.iqr_low, s.iqr_high, s.median_first_any_hit)
+                for s in output.summaries))
     _write_csv(out / "comparisons.csv",
-               ["arm_a", "arm_b", "median_ratio", "u_statistic", "p_value",
-                "censored_median_ratio"],
-               ([arm_a, arm_b, None, None, None, censored_ratio] if cmp_result is None
-                else [arm_a, arm_b, cmp_result.median_ratio, cmp_result.u_statistic,
-                      cmp_result.p_value, censored_ratio]
-                for arm_a, arm_b, cmp_result, censored_ratio in output.comparisons))
-    _write_csv(out / "goals.csv", ["arm", "replicate", "goal"],
-               ([label, r.replicate_index, to_bitstring(r.goal)] for label, r in replicates))
-    if spec.trace != "none":
+               "arm_a,arm_b,median_ratio,u_statistic,p_value,censored_median_ratio",
+               _row_format((str, str, str, str, str, float)),
+               ((arm_a, arm_b, *[_maybe(float, v) for v in ((None,) * 3 if c is None else
+                                 (c.median_ratio, c.u_statistic, c.p_value))], censored_ratio)
+                for arm_a, arm_b, c, censored_ratio in output.comparisons))
+    _write_csv(out / "goals.csv", "arm,replicate,goal", _row_format((str, int, str)),
+               ((label, r.replicate_index, to_bitstring(r.goal)) for label, r in replicates))
+    if output.spec.trace != "none":
         (out / "curves").mkdir(exist_ok=True)
         for s in output.summaries:
             _write_csv(out / "curves" / f"{s.label}.csv",
-                       ["iteration", "mean_best_fitness", "mean_mean_fitness"],
+                       "iteration,mean_best_fitness,mean_mean_fitness",
+                       _row_format((int, float, float)),
                        zip(itertools.count(1), s.curve_best.tolist(), s.curve_mean.tolist()))
 
 
 def _write_traces(trace_dir: Path, arm_results: list[ReplicateResult]) -> None:
-    """One per-agent trace file per replicate; drops each written full trace."""
+    """One per-agent trace file per replicate, then drops its full trace; each
+    file's row format holds the replicate's fixed ``W_*`` (inertia) cells."""
     trace_dir.mkdir(parents=True, exist_ok=True)
+    agents = arm_results[0].full_trace["fitness"].shape[1]
+    header = ",".join(["iteration", "best_fitness", "mean_fitness"] + [
+        f"{column}{i}" for column in ("fitness_of_agent_", "silo_of_agent_", "W_", "C1_", "C2_")
+        for i in range(agents)])
+    before_w = _row_format((int, int, float, *[int] * (2 * agents)))
+    w_cells = _row_format([float] * agents)
+    after_w = _row_format([float] * (2 * agents))
     for r in arm_results:
         ft = r.full_trace
-        n_agents = ft["fitness"].shape[1]
-        header = ["iteration", "best_fitness", "mean_fitness"]
-        header += [f"{column}{i}" for column in ("fitness_of_agent_", "silo_of_agent_",
-                                                 "W_", "C1_", "C2_")
-                   for i in range(n_agents)]
-        best = [r.initial_best, *r.trace_best.tolist()]
-        mean = [r.initial_mean, *r.trace_mean.tolist()]
-        inertia = ft["inertia"].tolist()
-        _write_csv(trace_dir / f"replicate_{r.replicate_index}.csv", header,
-                   ([t, best[t], mean[t], *ft["fitness"][t].tolist(),
-                     *ft["silo"][t].tolist(), *inertia, *ft["self_belief"][t].tolist(),
-                     *ft["prestige_bias"][t].tolist()] for t in range(len(best))),
+        fmt = f"{before_w},{w_cells % tuple(ft['inertia'].tolist())},{after_w}"
+        columns = zip(itertools.count(), [r.initial_best, *r.trace_best.tolist()],
+                      [r.initial_mean, *r.trace_mean.tolist()],
+                      np.hstack([ft["fitness"], ft["silo"]]),
+                      np.hstack([ft["self_belief"], ft["prestige_bias"]]))
+        _write_csv(trace_dir / f"replicate_{r.replicate_index}.csv", header, fmt,
+                   ((t, best, mean, *ints.tolist(), *floats.tolist())
+                    for t, best, mean, ints, floats in columns),
                    comment=f"goal={to_bitstring(r.goal)}")
         r.full_trace = None
 

@@ -141,12 +141,14 @@ class TestStep:
             assert (np.abs(state.velocities) <= 2.5).all()
 
     def test_trace_best_le_mean(self):
-        c = config()
-        state = init_swarm(c, replicate_rng(c.master_seed, 5))
-        for t in range(1, 41):
-            step(state, t)
-        assert all(b <= m + 1e-12 for b, m in zip(state.trace_best,
-                                                  state.trace_mean))
+        c = config(max_iterations=40)
+        r = run_replicate(c, 5, "full")
+        assert r.trace_best.size == r.iterations_run > 0
+        assert all(b <= m + 1e-12 for b, m in zip(r.trace_best, r.trace_mean))
+        # both are read off the per-agent fitness at t = 1..iterations_run
+        rows = r.full_trace["fitness"][1:].tolist()
+        assert r.trace_best.tolist() == [min(row) for row in rows]
+        assert r.trace_mean.tolist() == [sum(row) / len(row) for row in rows]
 
     def test_dynamic_reshuffles_on_schedule(self):
         c = config(design=OrgDesign.dynamic(3, 5), agents=9)

@@ -1,6 +1,7 @@
 import itertools
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +266,21 @@ class TestDeterminism:
                                 for p in sorted(out.rglob("*")) if p.is_file()}
         assert len(outputs[1]) == 4 + 6 + 6 * 27
         assert outputs[1] == outputs[2]
+
+    def test_every_file_independent_of_arm_order(self, tmp_path):
+        # Parsed specs are sorted by label; a hand-built one may not be.
+        spec = parse_config_dict({**TINY, "replicates": 2, "trace": "full"})
+        reversed_spec = ExperimentSpec(arms=spec.arms[::-1], workers=1, trace="full")
+        outputs = []
+        for name, s in (("sorted", spec), ("reversed", reversed_spec)):
+            out = tmp_path / name
+            run_experiment(s, out_dir=out)
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert outputs[0] == outputs[1]
+        arm_column = [line.split(",")[0] for line in
+                      outputs[1][Path("summary.csv")].decode().splitlines()[1:]]
+        assert arm_column == sorted(arm_column)
 
 
 class TestTraceLevels:
