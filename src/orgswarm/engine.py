@@ -15,7 +15,8 @@ bit-for-bit on any host:
 
 Iteration ``t=0`` is the evaluation of the initial positions; steps run at
 ``t = 1..max_iterations`` and stop early once every agent has hit the goal
-at least once (group convergence).
+at least once (group convergence). :func:`step` owns the state; it keeps
+the neighbourhood bests until a reshuffle or an improving step (see there).
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ class SwarmState:
     assignment: SiloAssignment
     first_hit: np.ndarray          # (N,) int, -1 = never
     unhit: int                     # agents with first_hit == -1 (pbest > 0)
+    probs: np.ndarray              # (N, D) float buffer: sigmoid(velocities)
+    gbest: np.ndarray | None = None  # (N, D) neighbourhood bests, None = recompute
     t: int = 0
     group_convergence: int | None = None
     # fitness at t = 0..t (trace group|full); None records nothing per step
@@ -165,8 +168,8 @@ class SwarmState:
         if self.fitness_rows is not None:
             self.fitness_rows.append(self.fitness)
         if self.full_rows is not None:
-            self.full_rows.append((self.assignment.silo_of, self.self_belief.copy(),
-                                   self.prestige_bias.copy()))
+            self.full_rows.append((self.assignment.silo_of, self.self_belief,
+                                   self.prestige_bias))
 
 
 @dataclass
@@ -229,6 +232,7 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
         assignment=assignment,
         first_hit=first_hit,
         unhit=np.count_nonzero(fit),
+        probs=np.empty(positions.shape),
         fitness_rows=[] if trace_level != "none" else None,
         full_rows=[] if trace_level == "full" else None,
     )
@@ -244,8 +248,14 @@ def step(state: SwarmState, t: int) -> SwarmState:
     Order: reshuffle when due -> neighborhood bests from the previous
     iteration's memory -> velocity update, clamp, stochastic binarization ->
     evaluation -> personal-best update (strict improvement) -> policy update
-    -> bookkeeping. Mutates and returns ``state``. Each step's fitness and
-    silo arrays are new objects, never written in place, so the rows that
+    -> bookkeeping. Mutates and returns ``state``, whose fields it owns:
+    nothing may write them between steps (tests set them before step 1).
+    Historical ``state.gbest`` is kept until a reshuffle or a step improving
+    a personal best; a step improving none skips the personal-best writes
+    and the hit count. Velocities are updated and clamped in place (a new
+    array with ``freeze_on_goal``) and the bit probabilities go into the
+    per-replicate ``probs`` buffer. Each step's fitness, silo and coefficient
+    arrays are new objects, never written in place, so the rows that
     ``_record`` keeps without copying hold their values.
     """
     cfg = state.config
@@ -255,12 +265,16 @@ def step(state: SwarmState, t: int) -> SwarmState:
     design = cfg.design
     if design.kind is DesignKind.DYNAMIC and t % design.reshuffle_interval == 0:
         state.assignment = reshuffle(state.assignment, state.rng)
+        state.gbest = None
 
     if cfg.gbest_mode == "historical":
         ref_fit, ref_pos = state.pbest_fitness, state.pbest_positions
     else:
         ref_fit, ref_pos = state.fitness, state.positions
-    gbest = ref_pos[silo_leaders(state.assignment, ref_fit)[state.assignment.silo_of]]
+        state.gbest = None
+    if state.gbest is None:
+        leaders = silo_leaders(state.assignment, ref_fit)[state.assignment.silo_of]
+        state.gbest = ref_pos[leaders]
 
     shape = state.positions.shape
     c1 = state.self_belief[:, None]
@@ -268,12 +282,13 @@ def step(state: SwarmState, t: int) -> SwarmState:
     if cfg.stochastic_acceleration:
         c1 = c1 * state.rng.random(shape)
         c2 = c2 * state.rng.random(shape)
+    # in place, except with freeze_on_goal: frozen agents keep the old velocities
     vel = update_velocity(state.velocities, state.positions,
-                          state.pbest_positions, gbest,
-                          state.inertia[:, None], c1, c2)
-    vel = clamp_velocity(vel, cfg.v_max)
+                          state.pbest_positions, state.gbest, state.inertia[:, None],
+                          c1, c2, out=None if cfg.freeze_on_goal else state.velocities)
+    vel = clamp_velocity(vel, cfg.v_max, out=vel)
     # bool and int8 share a byte layout: the view gives the 0/1 bits without a copy
-    new_pos = (state.rng.random(shape) < sigmoid(vel)).view(BIT_DTYPE)
+    new_pos = (state.rng.random(shape) < sigmoid(vel, out=state.probs)).view(BIT_DTYPE)
 
     if cfg.freeze_on_goal:
         live = state.first_hit < 0
@@ -288,12 +303,19 @@ def step(state: SwarmState, t: int) -> SwarmState:
     state.fitness = fit
 
     improved = fit < state.pbest_fitness
-    np.copyto(state.pbest_positions, new_pos, where=improved[:, None])
-    np.minimum(state.pbest_fitness, fit, out=state.pbest_fitness)
+    if np.count_nonzero(improved):  # else pbests, leaders and hits are unchanged
+        np.copyto(state.pbest_positions, new_pos, where=improved[:, None])
+        np.minimum(state.pbest_fitness, fit, out=state.pbest_fitness)
+        state.gbest = None
+        # An agent has hit the goal iff its personal best is 0 (fitness >= 0).
+        unhit = np.count_nonzero(state.pbest_fitness)
+        if unhit < state.unhit:
+            state.first_hit[(fit == 0) & (state.first_hit < 0)] = t
+            state.unhit = unhit
+            if unhit == 0:
+                state.group_convergence = t
 
     ema, belief, bias = state.feedback_ema, state.self_belief, state.prestige_bias
-    if cfg.freeze_on_goal:
-        ema, belief, bias, signal = ema[live], belief[live], bias[live], signal[live]
     if cfg.tendency is Tendency.REACTIVE:
         belief, bias = reactive_shift(belief, bias, signal, cfg.delta,
                                       cfg.coeff_min, cfg.coeff_max)
@@ -301,20 +323,11 @@ def step(state: SwarmState, t: int) -> SwarmState:
         ema, belief, bias = perceptive_shift(ema, belief, bias, signal, t,
                                              cfg.pressure_horizon, cfg.alpha, cfg.delta,
                                              cfg.coeff_min, cfg.coeff_max)
-    if cfg.freeze_on_goal:
-        state.feedback_ema[live] = ema
-        state.self_belief[live] = belief
-        state.prestige_bias[live] = bias
-    else:
-        state.feedback_ema, state.self_belief, state.prestige_bias = ema, belief, bias
-
-    # An agent has hit the goal iff its personal best is 0 (fitness >= 0).
-    unhit = np.count_nonzero(state.pbest_fitness)
-    if unhit < state.unhit:
-        state.first_hit[(fit == 0) & (state.first_hit < 0)] = t
-        state.unhit = unhit
-        if unhit == 0:
-            state.group_convergence = t
+    if cfg.freeze_on_goal:  # new arrays that keep the frozen agents' values
+        ema = np.where(live, ema, state.feedback_ema)
+        belief = np.where(live, belief, state.self_belief)
+        bias = np.where(live, bias, state.prestige_bias)
+    state.feedback_ema, state.self_belief, state.prestige_bias = ema, belief, bias
     state.t = t
     state._record()
     return state

@@ -189,6 +189,10 @@ def parse_config(path) -> ExperimentSpec:
 
 def serialize_spec(spec: ExperimentSpec) -> dict:
     """Canonical, fully resolved config mapping (round-trips through parsing)."""
+    seeds = sorted({arm.config.master_seed for arm in spec.arms})
+    if len(seeds) != 1:
+        raise ConfigError(f"arms must be a non-empty list sharing one master_seed, got "
+                          f"seeds {seeds}", fields=["master_seed" if seeds else "arms"])
     arms = []
     for arm in spec.arms:
         c = arm.config
@@ -203,7 +207,7 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
             entry["reshuffle_interval"] = c.design.reshuffle_interval
         arms.append(entry)
     return {
-        "master_seed": spec.arms[0].config.master_seed,
+        "master_seed": seeds[0],
         "out_dir": spec.out_dir,
         "trace": spec.trace,
         "workers": spec.workers,

@@ -11,6 +11,8 @@ broadcast, so they apply both to one agent's length-D vectors and to
 whole-swarm (N, D) matrices (with per-agent coefficients shaped (N, 1)).
 Arguments are not re-checked here: the engine passes only values that
 :meth:`orgswarm.engine.SimConfig.validate` accepted.
+Each function takes an optional numpy-style ``out``, a float array of the
+result's shape (possibly the velocity argument) that receives the result.
 """
 
 from __future__ import annotations
@@ -18,35 +20,35 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic transfer 1 / (1 + e^-x); strictly increasing, range (0, 1)."""
-    return 1.0 / (1.0 + np.exp(np.negative(x, dtype=float)))
+    e = np.exp(np.negative(x, out=out, dtype=float), out=out)
+    return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
 def update_velocity(velocity, position, personal_best, neighborhood_best,
-                    inertia, self_belief, prestige_bias):
+                    inertia, self_belief, prestige_bias, out=None):
     """One velocity step; the result is NOT yet clamped.
 
     ``inertia``/``self_belief``/``prestige_bias`` may be scalars or (N, 1)
     columns for a whole-swarm update.
     """
-    velocity = np.asarray(velocity, dtype=float)
-    position = np.asarray(position)
-    return (inertia * velocity
-            + self_belief * (np.asarray(personal_best) - position)
-            + prestige_bias * (np.asarray(neighborhood_best) - position))
+    out = np.multiply(inertia, velocity, out=out, dtype=float)
+    out += self_belief * np.subtract(personal_best, position)
+    out += prestige_bias * np.subtract(neighborhood_best, position)
+    return out
 
 
-def clamp_velocity(velocity, v_max: float):
+def clamp_velocity(velocity, v_max: float, out=None):
     """Clamp every component into [-v_max, +v_max]; same values as ``np.clip``."""
-    return clamp(velocity, -v_max, v_max)
+    return clamp(velocity, -v_max, v_max, out)
 
 
-def clamp(x, lo, hi):
+def clamp(x, lo, hi, out=None):
     """``np.clip(x, lo, hi)`` for ``lo <= hi`` without its Python wrapper.
 
     The bound comes first in each call: ``np.maximum(lo, x)`` returns ``lo``
     where ``x == lo``, as ``np.clip`` does, so signed zeros and NaNs come out
     exactly as ``np.clip`` gives them.
     """
-    return np.minimum(hi, np.maximum(lo, x))
+    return np.minimum(hi, np.maximum(lo, x, out=out), out=out)

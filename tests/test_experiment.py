@@ -127,6 +127,21 @@ class TestParseConfig:
             ]})
         assert parse_config_dict(serialize_spec(spec)) == spec
 
+    def test_serialize_refuses_arms_with_different_master_seeds(self):
+        # the mapping has one master_seed, so such a spec cannot round-trip
+        arms = [Arm(label, SimConfig(master_seed=seed, design=OrgDesign.fully_networked(),
+                                     tendency=Tendency.REACTIVE))
+                for label, seed in (("a", 1), ("b", 2))]
+        with pytest.raises(ConfigError) as err:
+            serialize_spec(ExperimentSpec(arms))
+        assert err.value.fields == ["master_seed"]
+
+    def test_serialize_refuses_a_spec_without_arms(self):
+        # as the parser does: "arms must be a non-empty list"
+        with pytest.raises(ConfigError) as err:
+            serialize_spec(ExperimentSpec([]))
+        assert err.value.fields == ["arms"]
+
     def test_parse_config_file_and_bad_json(self, tmp_path):
         path = write_config(tmp_path, dict(TINY))
         assert len(parse_config(path).arms) == 6

@@ -1,0 +1,81 @@
+"""``engine.step`` against the straightforward reference step, bit for bit.
+
+Two swarms start from the same seed; one advances with ``engine.step``, the
+other with :func:`reference_step.reference_step`. After every step their
+states must hold the same bytes, so the engine's leader cache, its skipped
+personal-best writes, its in-place velocity update and its freeze path change
+no value, signed zeros included.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from orgswarm import OrgDesign, SimConfig, Tendency, init_swarm, replicate_rng, step
+from reference_step import reference_step
+
+FIELDS = ("positions", "velocities", "pbest_positions", "pbest_fitness", "fitness",
+          "self_belief", "prestige_bias", "feedback_ema", "first_hit")
+
+
+@st.composite
+def configs(draw):
+    agents = draw(st.integers(1, 24))
+    silos = draw(st.integers(1, agents))
+    design = draw(st.sampled_from([
+        OrgDesign.fully_networked(), OrgDesign.siloed(silos),
+        OrgDesign.dynamic(silos, draw(st.integers(1, 7)))]))
+    coeff_min = draw(st.sampled_from([0.0, -0.0, -0.5, -2.0]))
+    return SimConfig(
+        master_seed=draw(st.integers(0, 2 ** 64 - 1)), design=design,
+        tendency=draw(st.sampled_from(list(Tendency))),
+        dim=draw(st.integers(1, 30)), agents=agents, max_iterations=60,
+        v_max=draw(st.sampled_from([0.5, 4.0])),
+        delta=draw(st.sampled_from([0.1, 0.3, 1.0, 1])),
+        alpha=draw(st.sampled_from([0.05, 0.5, 1.0])),
+        pressure_horizon=draw(st.integers(1, 30)),
+        coeff_min=coeff_min, self_belief_init=(coeff_min, 1.5),
+        prestige_bias_init=(coeff_min, 2.0),
+        gbest_mode=draw(st.sampled_from(["historical", "instantaneous"])),
+        stochastic_acceleration=draw(st.booleans()),
+        freeze_on_goal=draw(st.booleans()))
+
+
+def assert_same_bytes(engine, reference, t):
+    for name in FIELDS:
+        got, want = getattr(engine, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, (name, t)
+        assert got.tobytes() == want.tobytes(), (name, t)
+    assert np.array_equal(engine.assignment.silo_of, reference.assignment.silo_of), t
+    assert (engine.unhit, engine.group_convergence) == (
+        reference.unhit, reference.group_convergence), t
+
+
+def _config(**overrides):
+    base = dict(master_seed=7, design=OrgDesign.dynamic(4, 1), tendency=Tendency.REACTIVE,
+                dim=12, agents=12, max_iterations=60)
+    return SimConfig(**{**base, **overrides})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(configs(), st.integers(0, 3))
+@example(_config(), 0)
+@example(_config(gbest_mode="instantaneous", stochastic_acceleration=True), 1)
+@example(_config(tendency=Tendency.PERCEPTIVE, freeze_on_goal=True, dim=4,
+                 coeff_min=-0.0, self_belief_init=(-0.0, 1.5),
+                 prestige_bias_init=(-0.0, 2.0)), 2)
+@example(_config(coeff_min=-0.5, delta=1.0, self_belief_init=(-0.5, 0.0),
+                 prestige_bias_init=(-0.5, 0.0)), 3)
+@example(_config(delta=1, freeze_on_goal=True, dim=4), 0)  # an int delta is valid
+@example(_config(delta=1, tendency=Tendency.PERCEPTIVE), 1)
+def test_step_matches_reference_step(config, replicate):
+    config.validate()
+    engine = init_swarm(config, replicate_rng(config.master_seed, replicate))
+    reference = init_swarm(config, replicate_rng(config.master_seed, replicate), "none")
+    assert_same_bytes(engine, reference, 0)
+    for t in range(1, config.max_iterations + 1):
+        step(engine, t)
+        reference_step(reference, t)
+        assert_same_bytes(engine, reference, t)
+        if engine.group_convergence is not None:
+            break

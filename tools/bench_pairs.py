@@ -23,7 +23,7 @@ and ``median_change_<metric>`` (change median / parent median - 1).
 
 ``--profile`` runs ``run_experiment`` once per side under cProfile, on the
 first seed's config, and records each orgswarm function's call count and
-the calls of ``numpy.array`` per orgswarm caller.
+the calls of ``numpy.array`` and of ``ndarray.copy`` per orgswarm caller.
 
 ``--out FILE --key NAME`` stores the record as ``FILE[NAME]``, with the
 host's description under ``FILE["host"]``; otherwise it goes to stdout.
@@ -57,18 +57,22 @@ profiler = cProfile.Profile()
 with tempfile.TemporaryDirectory() as out:
     profiler.runcall(run_experiment, spec, out)
 ours = lambda path: "/orgswarm/" in path.replace("\\", "/")
-calls, array_callers = {}, {}  # module.function -> calls, summed over same-named ones
+# numpy builtins whose calls are counted per orgswarm caller
+watched = {"<built-in method numpy.array>": "np_array_callers",
+           "<method 'copy' of 'numpy.ndarray' objects>": "ndarray_copy_callers"}
+# module.function -> calls, summed over same-named ones
+counts = {"calls": {}, **{key: {} for key in watched.values()}}
 for (path, _, name), (_, ncalls, _, _, callers) in pstats.Stats(profiler).stats.items():
     if ours(path):
         key = f"{Path(path).stem}.{name}"
-        calls[key] = calls.get(key, 0) + ncalls
-    elif name == "<built-in method numpy.array>":
+        counts["calls"][key] = counts["calls"].get(key, 0) + ncalls
+    elif name in watched:
+        by_caller = counts[watched[name]]
         for (p, _, n), c in callers.items():
             if ours(p):
                 key = f"{Path(p).stem}.{n}"
-                array_callers[key] = array_callers.get(key, 0) + c[1]
-print(json.dumps({"calls": dict(sorted(calls.items())),
-                  "np_array_callers": dict(sorted(array_callers.items()))}))
+                by_caller[key] = by_caller.get(key, 0) + c[1]
+print(json.dumps({k: dict(sorted(v.items())) for k, v in counts.items()}))
 """
 
 
