@@ -18,6 +18,9 @@ visible_best = np.array([1, 1, 1, 0, 0], dtype=np.int8)
 velocity = np.zeros(5)
 
 inertia, self_belief, prestige_bias = 0.9, 1.0, 1.8
+# the two pulls as one stack: [personal best; visible best], [[C1]; [C2]]
+bests = np.stack([personal_best, visible_best])
+coefficients = np.array([[self_belief], [prestige_bias]])
 v_max = 4.0
 
 print("dim:            ", list(range(5)))
@@ -27,8 +30,7 @@ print("visible best:   ", visible_best.tolist())
 print()
 
 for t in range(1, 6):
-    velocity = update_velocity(velocity, position, personal_best, visible_best,
-                               inertia, self_belief, prestige_bias)
+    velocity = update_velocity(velocity, position, bests, inertia, coefficients)
     velocity = clamp_velocity(velocity, v_max)
     probs = sigmoid(velocity)
     position = (rng.random(position.shape) < probs).astype(np.int8)

@@ -10,8 +10,9 @@ bit-for-bit on any host:
   inertia / self-belief / prestige-bias vectors, then the silo permutation
   (siloed/dynamic only);
 * each iteration: the reshuffle permutation when due, then (with
-  ``stochastic_acceleration``) the two (N, D) acceleration multipliers, then
-  the (N, D) binarization uniforms, row-major (agent-major, dimension order).
+  ``stochastic_acceleration``) the C1 and C2 acceleration multipliers as one
+  (2, N, D) block, the same stream as two successive (N, D) draws, then the
+  (N, D) binarization uniforms, row-major (agent-major, dimension order).
 
 Iteration ``t=0`` is the evaluation of the initial positions; steps run at
 ``t = 1..max_iterations`` and stop early once every agent has hit the goal
@@ -145,31 +146,29 @@ class SwarmState:
     goal: np.ndarray
     positions: np.ndarray          # (N, D) bits
     velocities: np.ndarray         # (N, D) float
-    pbest_positions: np.ndarray    # (N, D) bits
+    bests: np.ndarray              # (2, N, D) bits: [personal; neighbourhood] bests
     pbest_fitness: np.ndarray      # (N,) int
     fitness: np.ndarray            # (N,) int, current positions
     inertia: np.ndarray            # (N,) float, never adapted
-    self_belief: np.ndarray        # (N,) float
-    prestige_bias: np.ndarray      # (N,) float
+    coefficients: np.ndarray       # (2, N) float: [self-belief C1; prestige bias C2]
     feedback_ema: np.ndarray       # (N,) float
     assignment: SiloAssignment
     first_hit: np.ndarray          # (N,) int, -1 = never
     unhit: int                     # agents with first_hit == -1 (pbest > 0)
-    probs: np.ndarray              # (N, D) float buffer: sigmoid(velocities)
-    gbest: np.ndarray | None = None  # (N, D) neighbourhood bests, None = recompute
+    work: np.ndarray               # (2, N, D) float buffer, see step
+    stale: bool = True             # bests[1] must be gathered again
     t: int = 0
     group_convergence: int | None = None
     # fitness at t = 0..t (trace group|full); None records nothing per step
     fitness_rows: list | None = None
-    # (silo_of, self_belief, prestige_bias) at t = 0..t (trace full)
+    # (silo_of, coefficients) at t = 0..t (trace full)
     full_rows: list | None = None
 
     def _record(self):
         if self.fitness_rows is not None:
             self.fitness_rows.append(self.fitness)
         if self.full_rows is not None:
-            self.full_rows.append((self.assignment.silo_of, self.self_belief,
-                                   self.prestige_bias))
+            self.full_rows.append((self.assignment.silo_of, self.coefficients))
 
 
 @dataclass
@@ -211,8 +210,8 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
     goal = random_position(config.dim, rng)
     positions = random_positions(config.agents, config.dim, rng)
     inertia = rng.uniform(*config.inertia_init, config.agents)
-    self_belief = rng.uniform(*config.self_belief_init, config.agents)
-    prestige_bias = rng.uniform(*config.prestige_bias_init, config.agents)
+    coefficients = np.array([rng.uniform(*config.self_belief_init, config.agents),
+                             rng.uniform(*config.prestige_bias_init, config.agents)])
     assignment = build_assignment(config.design, config.agents, rng)
     fit = fitness_many(positions, goal)
     first_hit = np.where(fit == 0, 0, -1).astype(np.int64)
@@ -222,17 +221,16 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
         goal=goal,
         positions=positions,
         velocities=np.zeros((config.agents, config.dim)),
-        pbest_positions=positions.copy(),
+        bests=np.array([positions, positions]),
         pbest_fitness=fit.copy(),
         fitness=fit,
         inertia=inertia,
-        self_belief=self_belief,
-        prestige_bias=prestige_bias,
+        coefficients=coefficients,
         feedback_ema=np.zeros(config.agents),
         assignment=assignment,
         first_hit=first_hit,
         unhit=np.count_nonzero(fit),
-        probs=np.empty(positions.shape),
+        work=np.zeros((2, *positions.shape)),
         fitness_rows=[] if trace_level != "none" else None,
         full_rows=[] if trace_level == "full" else None,
     )
@@ -250,11 +248,12 @@ def step(state: SwarmState, t: int) -> SwarmState:
     evaluation -> personal-best update (strict improvement) -> policy update
     -> bookkeeping. Mutates and returns ``state``, whose fields it owns:
     nothing may write them between steps (tests set them before step 1).
-    Historical ``state.gbest`` is kept until a reshuffle or a step improving
-    a personal best; a step improving none skips the personal-best writes
-    and the hit count. Velocities are updated and clamped in place (a new
-    array with ``freeze_on_goal``) and the bit probabilities go into the
-    per-replicate ``probs`` buffer. Each step's fitness, silo and coefficient
+    Historical neighbourhood bests (``bests[1]``) are kept until a reshuffle
+    or a step improving a personal best; a step improving none skips the
+    personal-best writes and the hit count. Velocities are updated and
+    clamped in place (a new array with ``freeze_on_goal``). The (2, N, D)
+    ``work`` buffer holds the C1 and C2 pulls, then the binarization uniforms
+    and the bit probabilities. Each step's fitness, silo and coefficient
     arrays are new objects, never written in place, so the rows that
     ``_record`` keeps without copying hold their values.
     """
@@ -265,30 +264,31 @@ def step(state: SwarmState, t: int) -> SwarmState:
     design = cfg.design
     if design.kind is DesignKind.DYNAMIC and t % design.reshuffle_interval == 0:
         state.assignment = reshuffle(state.assignment, state.rng)
-        state.gbest = None
+        state.stale = True
 
+    bests, work = state.bests, state.work
     if cfg.gbest_mode == "historical":
-        ref_fit, ref_pos = state.pbest_fitness, state.pbest_positions
+        ref_fit, ref_pos = state.pbest_fitness, bests[0]
     else:
         ref_fit, ref_pos = state.fitness, state.positions
-        state.gbest = None
-    if state.gbest is None:
+        state.stale = True
+    if state.stale:
         leaders = silo_leaders(state.assignment, ref_fit)[state.assignment.silo_of]
-        state.gbest = ref_pos[leaders]
+        # mode "raise" would gather into a temporary and copy it to out
+        ref_pos.take(leaders, axis=0, out=bests[1], mode="clip")
+        state.stale = False
 
-    shape = state.positions.shape
-    c1 = state.self_belief[:, None]
-    c2 = state.prestige_bias[:, None]
+    coefficients = state.coefficients[:, :, None]
     if cfg.stochastic_acceleration:
-        c1 = c1 * state.rng.random(shape)
-        c2 = c2 * state.rng.random(shape)
+        coefficients = np.multiply(coefficients, state.rng.random(out=work), out=work)
     # in place, except with freeze_on_goal: frozen agents keep the old velocities
-    vel = update_velocity(state.velocities, state.positions,
-                          state.pbest_positions, state.gbest, state.inertia[:, None],
-                          c1, c2, out=None if cfg.freeze_on_goal else state.velocities)
+    vel = update_velocity(state.velocities, state.positions, bests, state.inertia[:, None],
+                          coefficients, out=None if cfg.freeze_on_goal else state.velocities,
+                          work=work)
     vel = clamp_velocity(vel, cfg.v_max, out=vel)
-    # bool and int8 share a byte layout: the view gives the 0/1 bits without a copy
-    new_pos = (state.rng.random(shape) < sigmoid(vel, out=state.probs)).view(BIT_DTYPE)
+    # the spent pulls take the uniforms and the probabilities; bool and int8
+    # share a byte layout, so the view gives the 0/1 bits without a copy
+    new_pos = (state.rng.random(out=work[0]) < sigmoid(vel, out=work[1])).view(BIT_DTYPE)
 
     if cfg.freeze_on_goal:
         live = state.first_hit < 0
@@ -304,9 +304,9 @@ def step(state: SwarmState, t: int) -> SwarmState:
 
     improved = fit < state.pbest_fitness
     if np.count_nonzero(improved):  # else pbests, leaders and hits are unchanged
-        np.copyto(state.pbest_positions, new_pos, where=improved[:, None])
+        np.copyto(bests[0], new_pos, where=improved[:, None])
         np.minimum(state.pbest_fitness, fit, out=state.pbest_fitness)
-        state.gbest = None
+        state.stale = True
         # An agent has hit the goal iff its personal best is 0 (fitness >= 0).
         unhit = np.count_nonzero(state.pbest_fitness)
         if unhit < state.unhit:
@@ -315,19 +315,18 @@ def step(state: SwarmState, t: int) -> SwarmState:
             if unhit == 0:
                 state.group_convergence = t
 
-    ema, belief, bias = state.feedback_ema, state.self_belief, state.prestige_bias
+    ema, coefficients = state.feedback_ema, state.coefficients
     if cfg.tendency is Tendency.REACTIVE:
-        belief, bias = reactive_shift(belief, bias, signal, cfg.delta,
+        coefficients = reactive_shift(coefficients, signal, cfg.delta,
                                       cfg.coeff_min, cfg.coeff_max)
     else:
-        ema, belief, bias = perceptive_shift(ema, belief, bias, signal, t,
+        ema, coefficients = perceptive_shift(ema, coefficients, signal, t,
                                              cfg.pressure_horizon, cfg.alpha, cfg.delta,
                                              cfg.coeff_min, cfg.coeff_max)
     if cfg.freeze_on_goal:  # new arrays that keep the frozen agents' values
         ema = np.where(live, ema, state.feedback_ema)
-        belief = np.where(live, belief, state.self_belief)
-        bias = np.where(live, bias, state.prestige_bias)
-    state.feedback_ema, state.self_belief, state.prestige_bias = ema, belief, bias
+        coefficients = np.where(live, coefficients, state.coefficients)
+    state.feedback_ema, state.coefficients = ema, coefficients
     state.t = t
     state._record()
     return state
@@ -358,11 +357,9 @@ def run_replicate(config: SimConfig, replicate_index: int,
     fitness = np.array(state.fitness_rows or (), dtype=np.int64).reshape(-1, config.agents)
     full = None
     if state.full_rows is not None:
-        silo, self_belief, prestige_bias = (np.array(column)
-                                            for column in zip(*state.full_rows))
-        full = {"fitness": fitness, "silo": silo,
-                "inertia": state.inertia, "self_belief": self_belief,
-                "prestige_bias": prestige_bias}
+        silo, coefficients = (np.array(column) for column in zip(*state.full_rows))
+        full = {"fitness": fitness, "silo": silo, "inertia": state.inertia,
+                "self_belief": coefficients[:, 0], "prestige_bias": coefficients[:, 1]}
     return ReplicateResult(
         replicate_index=replicate_index,
         seed=seed,

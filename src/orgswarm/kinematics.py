@@ -26,16 +26,17 @@ def sigmoid(x, out=None):
     return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
-def update_velocity(velocity, position, personal_best, neighborhood_best,
-                    inertia, self_belief, prestige_bias, out=None):
+def update_velocity(velocity, position, bests, inertia, coefficients, out=None, work=None):
     """One velocity step; the result is NOT yet clamped.
 
-    ``inertia``/``self_belief``/``prestige_bias`` may be scalars or (N, 1)
-    columns for a whole-swarm update.
+    ``bests`` stacks [pbest; gbest] and ``coefficients`` [C1; C2] on a leading
+    axis of 2: (2, D) and (2, 1) for one agent, (2, N, D) and (2, N, 1) for a
+    swarm. ``work`` (float, the bests' shape) receives the pulls in place.
     """
+    pulls = np.multiply(coefficients, np.subtract(bests, position), out=work)
     out = np.multiply(inertia, velocity, out=out, dtype=float)
-    out += self_belief * np.subtract(personal_best, position)
-    out += prestige_bias * np.subtract(neighborhood_best, position)
+    out += pulls[0]
+    out += pulls[1]
     return out
 
 

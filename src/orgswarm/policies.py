@@ -7,9 +7,9 @@ agents respond to each iteration's raw signal; perceptive agents respond to
 an exponential moving average of it, with a step size that ramps from
 ``delta * alpha`` up to ``delta`` as performance pressure grows over time.
 
-The functions are elementwise and accept scalars or aligned arrays. They do
-not re-check their parameters: the engine passes only values that
-:meth:`orgswarm.engine.SimConfig.validate` accepted.
+The functions are elementwise over agents and take C1 and C2 stacked as one
+``(2, ...)`` array. They do not re-check their parameters: the engine passes
+only values that :meth:`orgswarm.engine.SimConfig.validate` accepted.
 """
 
 from __future__ import annotations
@@ -31,25 +31,27 @@ def pressure(t, horizon: int) -> float:
     return min(1.0, t / horizon)
 
 
-def reactive_shift(self_belief, prestige_bias, signal, step, lo, hi):
+_DIRECTIONS = np.array([[1.0], [-1.0]])  # C1 moves with the signal, C2 against it
+
+
+def reactive_shift(coefficients, signal, step, lo, hi):
     """Shift weight toward self-belief on improvement, toward prestige on
-    deterioration; zero signal leaves both untouched. Results are clamped to
-    [lo, hi]. ``step`` (> 0) may be an array (used by the perceptive ramp)."""
-    move = step * np.sign(signal)
-    return (clamp(self_belief + move, lo, hi),
-            clamp(prestige_bias - move, lo, hi))
+    deterioration; zero signal leaves both untouched. ``coefficients`` stacks
+    [C1; C2] as (2, N), or (2, 1) for a scalar ``signal``; returns a new float
+    array clamped to [lo, hi]. ``step`` (> 0) may be an array."""
+    moved = step * np.sign(signal) * _DIRECTIONS
+    moved += coefficients
+    return clamp(moved, lo, hi, out=moved)
 
 
-def perceptive_shift(feedback_ema, self_belief, prestige_bias, signal,
-                     t, horizon, alpha, delta, lo, hi):
+def perceptive_shift(feedback_ema, coefficients, signal, t, horizon, alpha, delta, lo, hi):
     """One perceptive adaptation step (elementwise).
 
-    Returns ``(ema', c1', c2')`` where ema' smooths the signal and the
+    Returns ``(ema', coefficients')`` where ema' smooths the signal and the
     coefficient move follows the reactive rule with direction sign(ema') and
     magnitude delta * (pressure + (1 - pressure) * alpha).
     """
     ema = (1.0 - alpha) * np.asarray(feedback_ema, dtype=float) + alpha * np.asarray(signal)
     press = pressure(t, horizon)
     step = delta * (press + (1.0 - press) * alpha)
-    c1, c2 = reactive_shift(self_belief, prestige_bias, ema, step, lo, hi)
-    return ema, c1, c2
+    return ema, reactive_shift(coefficients, ema, step, lo, hi)

@@ -3,10 +3,12 @@
 ``reference_step`` recomputes the neighbourhood bests on every step,
 allocates every intermediate, writes every personal best and re-counts the
 hits, and writes the frozen agents' coefficients back in place: the plain
-reading of the model, with no cache. It evaluates the same floating-point expressions in the
-same order and draws the same random numbers as ``engine.step``, so the two
-must agree to the bit. It reads and writes a :class:`SwarmState` built by
-``init_swarm``; give it a state of its own.
+reading of the model, with no cache and no buffer. It keeps C1 and C2 apart,
+draws their multipliers as two (N, D) blocks, and stores fresh stacked
+arrays back into the state. It evaluates the same floating-point expressions
+in the same order and draws the same random numbers as ``engine.step``, so
+the two must agree to the bit. It reads and writes a :class:`SwarmState`
+built by ``init_swarm``; give it a state of its own.
 """
 
 import numpy as np
@@ -30,24 +32,26 @@ def reference_step(state, t):
         state.assignment = reshuffle(state.assignment, state.rng)
 
     if cfg.gbest_mode == "historical":
-        ref_fit, ref_pos = state.pbest_fitness, state.pbest_positions
+        ref_fit, ref_pos = state.pbest_fitness, state.bests[0]
     else:
         ref_fit, ref_pos = state.fitness, state.positions
     gbest = ref_pos[silo_leaders(state.assignment, ref_fit)[state.assignment.silo_of]]
 
     shape = state.positions.shape
-    belief, bias = state.self_belief.copy(), state.prestige_bias.copy()
+    pbest = state.bests[0].copy()
+    belief, bias = state.coefficients[0].copy(), state.coefficients[1].copy()
     c1 = belief[:, None]
     c2 = bias[:, None]
     if cfg.stochastic_acceleration:
         c1 = c1 * state.rng.random(shape)
         c2 = c2 * state.rng.random(shape)
     vel = (state.inertia[:, None] * state.velocities
-           + c1 * (state.pbest_positions - state.positions)
+           + c1 * (pbest - state.positions)
            + c2 * (gbest - state.positions))
     vel = _clamp(vel, -cfg.v_max, cfg.v_max)
     probability = 1.0 / (1.0 + np.exp(np.negative(vel)))
-    new_pos = (state.rng.random(shape) < probability).astype(BIT_DTYPE)
+    uniforms = state.rng.random(shape)
+    new_pos = (uniforms < probability).astype(BIT_DTYPE)
 
     if cfg.freeze_on_goal:
         live = state.first_hit < 0
@@ -62,7 +66,7 @@ def reference_step(state, t):
     state.fitness = fit
 
     improved = fit < state.pbest_fitness
-    state.pbest_positions = np.where(improved[:, None], new_pos, state.pbest_positions)
+    pbest = np.where(improved[:, None], new_pos, pbest)
     state.pbest_fitness = np.minimum(state.pbest_fitness, fit)
 
     ema = state.feedback_ema.copy()
@@ -85,7 +89,9 @@ def reference_step(state, t):
     else:
         ema, belief, bias = sub_ema, sub_belief, sub_bias
     state.feedback_ema = ema
-    state.self_belief, state.prestige_bias = belief, bias
+    state.coefficients = np.stack([belief, bias])
+    state.bests = np.stack([pbest, gbest])
+    state.work = np.stack([uniforms, probability])
 
     # An agent has hit the goal iff its personal best is 0.
     unhit = np.count_nonzero(state.pbest_fitness)

@@ -30,10 +30,10 @@ class ScriptedRng:
     def uniform(self, low, high, size):
         return np.full(size, float(low))
 
-    def random(self, shape):
+    def random(self, out):
         bits = self.positions.pop(0)
-        assert bits.shape == shape
-        return 1.0 - bits
+        assert bits.shape == out.shape
+        return np.subtract(1.0, bits, out=out)
 
 
 def scripted_state(fitness_traces, dim=8, **overrides):

@@ -83,8 +83,8 @@ class RecordingRng:
         self.inner = inner
         self.uniforms: list[float] = []
 
-    def random(self, shape=None):
-        draws = self.inner.random(shape)
+    def random(self, out):
+        draws = self.inner.random(out=out)
         self.uniforms.extend(np.ravel(draws).tolist())
         return draws
 
@@ -163,8 +163,8 @@ def test_criterion_2_kinematics_oracle():
         "goal": state.goal.tolist(),
         "positions": state.positions.tolist(),
         "inertia": state.inertia.tolist(),
-        "self_belief": state.self_belief.tolist(),
-        "prestige_bias": state.prestige_bias.tolist(),
+        "self_belief": state.coefficients[0].tolist(),
+        "prestige_bias": state.coefficients[1].tolist(),
     }
     engine_states = []
     for t in range(1, 6):
@@ -216,11 +216,12 @@ def test_criterion_3_invariant_suite():
     ema = np.zeros(100)
     for t in range(20):
         sig = rng.integers(-5, 6, 100)
-        c1, c2 = reactive_shift(c1, c2, sig, 0.1, 0.0, 2.0)
+        c1, c2 = reactive_shift(np.stack([c1, c2]), sig, 0.1, 0.0, 2.0)
         cases += 100
         violations += int(((c1 < 0) | (c1 > 2) | (c2 < 0) | (c2 > 2)).sum())
         sig = rng.integers(-5, 6, 100)
-        ema, c1, c2 = perceptive_shift(ema, c1, c2, sig, t, 10, 0.1, 0.1, 0.0, 2.0)
+        ema, (c1, c2) = perceptive_shift(ema, np.stack([c1, c2]), sig, t, 10, 0.1, 0.1,
+                                         0.0, 2.0)
         cases += 100
         violations += int(((c1 < 0) | (c1 > 2) | (c2 < 0) | (c2 > 2)).sum())
 

@@ -1,9 +1,12 @@
 """tools/bench_pairs.py's summary, checked against a record it did not write:
 BENCH_4.json's grid_serial pairs, whose medians, interquartile range, wins
-and median reduction were computed without it."""
+and median reduction were computed without it; and its ``--profile`` script,
+run on a one-replicate workload."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,22 @@ def test_wins_follow_each_metric_direction():
     assert summary["change_wins_grid_serial.rep_iters_per_s"] == 0  # higher is better
     assert summary["change_wins_engine.step.calls"] == 0        # a tie counts for neither
     assert summary["parent_quartiles_grid_serial.wall_s"] is None  # one pair has none
+
+
+def test_profile_records_faults_and_system_time(tmp_path):
+    # a stand-in checkout: this src/ and a perfbench/workloads.py with one tiny arm
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "workloads.py").write_text(
+        "def config(workload, seed):\n"
+        "    return {'master_seed': seed, 'replicates': 1, 'max_iterations': 5, 'workers': 1,\n"
+        "            'arms': [{'label': 'a', 'design': 'fully_networked',\n"
+        "                      'tendency': 'reactive'}]}\n")
+    proc = subprocess.run([sys.executable, "-c", bench_pairs.PROFILE, str(tmp_path), "tiny",
+                           "3"], check=True, capture_output=True, text=True)
+    counts = json.loads(proc.stdout)
+    assert counts["calls"]["engine.step"] == 5
+    rusage = counts["rusage"]
+    assert sorted(rusage) == ["minor_faults", "system_s"]
+    assert isinstance(rusage["minor_faults"], int) and rusage["minor_faults"] >= 0
+    assert isinstance(rusage["system_s"], float) and rusage["system_s"] >= 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ class TestSimConfig:
 
 
 class TestSeedDerivation:
+    def test_stacked_draw_is_two_block_draws(self):
+        # step draws the C1 and C2 multipliers into one (2, N, D) buffer;
+        # the documented stream is two successive (N, D) draws
+        stacked, blocks = replicate_rng(9, 4), replicate_rng(9, 4)
+        buffer = np.empty((2, 7, 3))
+        assert stacked.random(out=buffer) is buffer
+        assert np.array_equal(buffer, [blocks.random((7, 3)), blocks.random((7, 3))])
+        assert stacked.random() == blocks.random()  # and both streams go on alike
+
     def test_deterministic_and_distinct(self):
         seeds = {derive_replicate_seed(42, i) for i in range(1000)}
         assert len(seeds) == 1000
@@ -77,15 +88,14 @@ class TestInitSwarm:
         c = config(agents=1)
         state = init_swarm(c, replicate_rng(c.master_seed, 0))
         assert state.assignment.silo_of.tolist() == [0]
-        assert np.array_equal(state.pbest_positions, state.positions)
+        assert np.array_equal(state.bests[0], state.positions)
         assert (state.velocities == 0).all()
 
     def test_same_seed_same_swarm(self):
         c = config()
         a = init_swarm(c, replicate_rng(c.master_seed, 3))
         b = init_swarm(c, replicate_rng(c.master_seed, 3))
-        for field in ("goal", "positions", "inertia", "self_belief",
-                      "prestige_bias"):
+        for field in ("goal", "positions", "inertia", "coefficients"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.array_equal(a.assignment.silo_of, b.assignment.silo_of)
 
@@ -94,13 +104,14 @@ class TestInitSwarm:
                    self_belief_init=(0.5, 1.5), prestige_bias_init=(0.5, 1.5))
         state = init_swarm(c, replicate_rng(c.master_seed, 0))
         assert ((state.inertia >= 0.4) & (state.inertia <= 0.9)).all()
-        assert ((state.self_belief >= 0.5) & (state.self_belief <= 1.5)).all()
-        assert ((state.prestige_bias >= 0.5) & (state.prestige_bias <= 1.5)).all()
+        self_belief, prestige_bias = state.coefficients
+        assert ((self_belief >= 0.5) & (self_belief <= 1.5)).all()
+        assert ((prestige_bias >= 0.5) & (prestige_bias <= 1.5)).all()
 
     def test_pbest_fitness_consistent(self):
         c = config()
         state = init_swarm(c, replicate_rng(c.master_seed, 1))
-        expected = (state.pbest_positions != state.goal).sum(axis=1)
+        expected = (state.bests[0] != state.goal).sum(axis=1)
         assert np.array_equal(state.pbest_fitness, expected)
 
 
@@ -129,9 +140,26 @@ class TestStep:
         for t in range(1, 61):
             step(state, t)
             assert (state.pbest_fitness <= prev).all()
-            expected = (state.pbest_positions != state.goal).sum(axis=1)
+            expected = (state.bests[0] != state.goal).sum(axis=1)
             assert np.array_equal(state.pbest_fitness, expected)
             prev = state.pbest_fitness.copy()
+
+    def test_step_allocates_no_float_block(self):
+        # The (N, D) arithmetic runs in the state's buffers: after warm-up, a
+        # step's peak of fresh memory stays below one N x D float block
+        # (the bit rows it allocates are 1 byte per element).
+        c = config(dim=200, agents=200, design=OrgDesign.siloed(20),
+                   stochastic_acceleration=True, gbest_mode="instantaneous")
+        state = init_swarm(c, replicate_rng(c.master_seed, 0), "none")
+        for t in range(1, 4):
+            step(state, t)
+        tracemalloc.start()
+        try:
+            step(state, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < c.agents * c.dim * 8
 
     def test_velocities_respect_clamp(self):
         c = config(v_max=2.5)
@@ -245,9 +273,9 @@ class TestRunReplicate:
             s = init_swarm(cm, replicate_rng(cm.master_seed, 0))
             s.goal = np.array([1, 1, 1, 1], dtype=np.int8)
             s.positions = np.array([[1, 1, 1, 0], [0, 0, 0, 0]], dtype=np.int8)
-            s.pbest_positions = np.array([[0, 1, 0, 0], [1, 1, 0, 0]], dtype=np.int8)
+            s.bests[0] = [[0, 1, 0, 0], [1, 1, 0, 0]]
             s.fitness = (s.positions != s.goal).sum(axis=1)      # [1, 4]
-            s.pbest_fitness = (s.pbest_positions != s.goal).sum(axis=1)  # [3, 2]
+            s.pbest_fitness = (s.bests[0] != s.goal).sum(axis=1)  # [3, 2]
             s.velocities[:] = 0.0
             step(s, 1)
             states[mode] = s.velocities.copy()
@@ -271,7 +299,7 @@ class TestRunReplicate:
         c = config(dim=10, agents=5)
         s = init_swarm(c, replicate_rng(c.master_seed, 0))
         s.positions = np.tile(s.goal, (5, 1)).astype(np.int8)
-        s.pbest_positions = s.positions.copy()
+        s.bests[0] = s.positions
         s.fitness = np.zeros(5, dtype=s.fitness.dtype)
         s.pbest_fitness = np.zeros(5, dtype=s.pbest_fitness.dtype)
         s.velocities[:] = 0.0
@@ -279,7 +307,7 @@ class TestRunReplicate:
         s.group_convergence = 0
         step(s, 1)
         assert (s.pbest_fitness == 0).all()
-        assert np.array_equal(s.pbest_positions, np.tile(s.goal, (5, 1)))
+        assert np.array_equal(s.bests[0], np.tile(s.goal, (5, 1)))
         # positions do not freeze: over 50 bits, some flips are near-certain
         assert s.fitness.sum() > 0
 

@@ -14,10 +14,9 @@ class StubRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, shape):
-        size = int(np.prod(shape))
-        out = np.array(self.values[:size], dtype=float).reshape(shape)
-        del self.values[:size]
+    def random(self, out):
+        out[...] = np.reshape(self.values[:out.size], out.shape)
+        del self.values[:out.size]
         return out
 
 
@@ -36,7 +35,7 @@ def engine_position_update(position, velocity, draws=None, seed=1):
                     self_belief_init=(0.0, 0.0), prestige_bias_init=(0.0, 0.0))
     state = init_swarm(cfg, replicate_rng(seed, 0))
     state.positions = rows.copy()
-    state.pbest_positions = rows.copy()
+    state.bests[0] = rows
     state.velocities = np.asarray(velocity, dtype=float).reshape(rows.shape).copy()
     if draws is not None:
         state.rng = StubRng(draws)
@@ -46,16 +45,16 @@ def engine_position_update(position, velocity, draws=None, seed=1):
 
 class TestUpdateVelocity:
     def test_pure_inertia_identity(self):
-        v = update_velocity([0.3], [0], [0], [0], 1.0, 0.0, 0.0)
+        v = update_velocity([0.3], [0], [[0], [0]], 1.0, [[0.0], [0.0]])
         assert v == pytest.approx([0.3])
 
     def test_zero_acceleration_when_positions_coincide(self):
-        v = update_velocity([0.4], [1], [1], [1], 0.5, 1.3, 0.7)
+        v = update_velocity([0.4], [1], [[1], [1]], 0.5, [[1.3], [0.7]])
         assert v == pytest.approx([0.2])
 
     def test_scalar_evaluation(self):
         # 0.5*0.2 + 1.0*(1-0) + 1.5*(1-0) = 2.6
-        v = update_velocity([0.2], [0], [1], [1], 0.5, 1.0, 1.5)
+        v = update_velocity([0.2], [0], [[1], [1]], 0.5, [[1.0], [1.5]])
         assert v == pytest.approx([2.6])
 
     def test_dimension_mismatch(self):
@@ -83,7 +82,7 @@ class TestUpdateVelocity:
             v = rng.normal(size=d)
             p = rng.integers(0, 2, d)
             w = float(rng.uniform(0, 2))
-            out = update_velocity(v, p, p, p, w, 0.0, 0.0)
+            out = update_velocity(v, p, [p, p], w, [[0.0], [0.0]])
             assert np.allclose(out, w * v)
 
     def test_geometric_decay_at_consensus(self):
@@ -91,7 +90,7 @@ class TestUpdateVelocity:
         p = np.array([1, 0, 1])
         w = 0.7
         for t in range(1, 12):
-            v = clamp_velocity(update_velocity(v, p, p, p, w, 1.1, 0.9), 4.0)
+            v = clamp_velocity(update_velocity(v, p, [p, p], w, [[1.1], [0.9]]), 4.0)
             assert np.allclose(np.abs(v), (w ** t) * np.array([3.0, 2.0, 0.5]))
 
     def test_whole_swarm_matches_per_agent(self):
@@ -104,11 +103,17 @@ class TestUpdateVelocity:
         w = rng.uniform(0.4, 0.9, n)
         c1 = rng.uniform(0.5, 1.5, n)
         c2 = rng.uniform(0.5, 1.5, n)
-        batch = update_velocity(vel, pos, pb, gb, w[:, None], c1[:, None], c2[:, None])
+        coefficients = np.stack([c1, c2])[:, :, None]
+        batch = update_velocity(vel, pos, np.stack([pb, gb]), w[:, None], coefficients)
         for i in range(n):
-            single = update_velocity(vel[i], pos[i], pb[i], gb[i],
-                                     w[i], c1[i], c2[i])
+            single = update_velocity(vel[i], pos[i], [pb[i], gb[i]],
+                                     w[i], [[c1[i]], [c2[i]]])
             assert np.array_equal(batch[i], single)
+        # into buffers, the engine's way: the pulls into work, in place
+        work, out = np.empty((2, n, d)), vel.copy()
+        buffered = update_velocity(out, pos, np.stack([pb, gb]), w[:, None],
+                                   coefficients, out=out, work=work)
+        assert buffered is out and np.array_equal(buffered, batch)
 
 
 class TestClampVelocity:
@@ -215,10 +220,10 @@ class TestFullStepAgainstHandEvaluator:
         state = init_swarm(cfg, replicate_rng(3, 0))
         state.goal = np.array(gb, dtype=np.int8)
         state.positions = np.array([gb, p], dtype=np.int8)
-        state.pbest_positions = np.array([gb, pb], dtype=np.int8)
+        state.bests[0] = [gb, pb]
         state.pbest_fitness = np.array([0, 1])
         state.velocities = np.array([[0.0] * 3, v])
-        state.inertia[1], state.self_belief[1], state.prestige_bias[1] = w, c1, c2
+        state.inertia[1], state.coefficients[:, 1] = w, (c1, c2)
         state.rng = StubRng([0.5] * 3 + draws)
         step(state, 1)
         assert np.allclose(state.velocities[1], expected_v, atol=1e-12)

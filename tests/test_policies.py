@@ -27,26 +27,31 @@ class TestFeedbackSignal:
         step(perceptive, 1)
         step(reactive, 1)
         assert perceptive.feedback_ema[0] == expected
-        assert reactive.self_belief[0] == pytest.approx(1.0 + 0.1 * np.sign(expected))
+        assert reactive.coefficients[0, 0] == pytest.approx(1.0 + 0.1 * np.sign(expected))
+
+
+def reactive(c1, c2, signal, step=0.1):
+    """``reactive_shift`` on one agent's C1 and C2, as a (C1', C2') pair."""
+    return tuple(reactive_shift([[c1], [c2]], signal, step, *BOUNDS)[:, 0])
 
 
 class TestReactiveUpdate:
     def test_improvement_shifts_toward_self_belief(self):
-        c1, c2 = reactive_shift(0.9, 1.1, 1, 0.1, *BOUNDS)
+        c1, c2 = reactive(0.9, 1.1, 1)
         assert c1 == pytest.approx(1.0)
         assert c2 == pytest.approx(1.0)
 
     def test_zero_signal_is_fixed_point(self):
-        c1, c2 = reactive_shift(0.9, 1.1, 0, 0.1, *BOUNDS)
+        c1, c2 = reactive(0.9, 1.1, 0)
         assert (c1, c2) == (0.9, 1.1)
 
     def test_deterioration_shifts_toward_prestige(self):
-        c1, c2 = reactive_shift(1.0, 1.0, -3, 0.1, *BOUNDS)
+        c1, c2 = reactive(1.0, 1.0, -3)
         assert c1 == pytest.approx(0.9)
         assert c2 == pytest.approx(1.1)
 
     def test_saturation_at_bounds(self):
-        c1, c2 = reactive_shift(2.0, 1.1, 1, 0.1, *BOUNDS)
+        c1, c2 = reactive(2.0, 1.1, 1)
         assert c1 == 2.0
         assert c2 == pytest.approx(1.0)
 
@@ -56,11 +61,11 @@ class TestReactiveUpdate:
                             tendency=tendency, dim=12, agents=6)
             state = init_swarm(cfg, replicate_rng(cfg.master_seed, 0))
             inertia = state.inertia.copy()
-            self_belief = state.self_belief.copy()
+            self_belief = state.coefficients[0].copy()
             for t in range(1, 31):
                 step(state, t)
             assert np.array_equal(state.inertia, inertia)
-            assert not np.array_equal(state.self_belief, self_belief)
+            assert not np.array_equal(state.coefficients[0], self_belief)
 
     def test_invalid_delta(self):
         # checked once, at the config boundary, not on every step
@@ -87,7 +92,10 @@ class TestPressure:
 
 
 def perceptive(ema, c1, c2, signal, t, horizon=500, alpha=0.1, delta=0.1):
-    return perceptive_shift(ema, c1, c2, signal, t, horizon, alpha, delta, *BOUNDS)
+    """``perceptive_shift`` on one agent, as (ema', C1', C2')."""
+    ema, coefficients = perceptive_shift(ema, [[c1], [c2]], signal, t, horizon, alpha,
+                                         delta, *BOUNDS)
+    return ema, *coefficients[:, 0]
 
 
 class TestPerceptiveUpdate:
@@ -130,7 +138,7 @@ class TestPerceptiveUpdate:
         ema, perceptive_c = 0.0, (1.0, 1.0)
         for i, s in enumerate(signals):
             t = 50 + i
-            reactive_c = reactive_shift(*reactive_c, int(s), 0.1, *BOUNDS)
+            reactive_c = reactive(*reactive_c, int(s))
             ema, *perceptive_c = perceptive(ema, *perceptive_c, int(s), t,
                                             horizon=50, alpha=1.0)
             assert perceptive_c[0] == pytest.approx(reactive_c[0])
@@ -149,6 +157,19 @@ class TestPerceptiveUpdate:
             assert lo - 1e-12 <= ema <= hi + 1e-12
 
 
+class TestIntegerParameters:
+    def test_integer_step_and_bounds_give_float_coefficients(self):
+        # "delta": 1, "coeff_min": 0 and "coeff_max": 2 are valid config values
+        coefficients = np.array([[0.5, 1.0, 2.0], [1.5, 1.0, 0.0]])
+        signal = np.array([2, 0, -1])
+        got = reactive_shift(coefficients, signal, 1, 0, 2)
+        assert got.dtype == float
+        assert got.tolist() == [[1.5, 1.0, 1.0], [0.5, 1.0, 1.0]]
+        ema, got = perceptive_shift(np.zeros(3), coefficients, signal, 9, 3, 1, 1, 0, 2)
+        assert ema.tolist() == [2.0, 0.0, -1.0] and got.tolist() == [[1.5, 1.0, 1.0],
+                                                                      [0.5, 1.0, 1.0]]
+
+
 class TestBoundsInvariant:
     def test_coefficients_stay_in_bounds_reactive(self):
         rng = np.random.default_rng(22)
@@ -156,7 +177,7 @@ class TestBoundsInvariant:
         c2 = rng.uniform(0, 2, 500)
         for _ in range(40):
             sig = rng.integers(-5, 6, 500)
-            c1, c2 = reactive_shift(c1, c2, sig, 0.1, *BOUNDS)
+            c1, c2 = reactive_shift(np.stack([c1, c2]), sig, 0.1, *BOUNDS)
             assert (c1 >= 0).all() and (c1 <= 2).all()
             assert (c2 >= 0).all() and (c2 <= 2).all()
 
@@ -167,6 +188,7 @@ class TestBoundsInvariant:
         ema = np.zeros(500)
         for t in range(40):
             sig = rng.integers(-5, 6, 500)
-            ema, c1, c2 = perceptive_shift(ema, c1, c2, sig, t, 20, 0.1, 0.1, *BOUNDS)
+            ema, (c1, c2) = perceptive_shift(ema, np.stack([c1, c2]), sig, t, 20, 0.1, 0.1,
+                                             *BOUNDS)
             assert (c1 >= 0).all() and (c1 <= 2).all()
             assert (c2 >= 0).all() and (c2 <= 2).all()

@@ -3,8 +3,11 @@
 Two swarms start from the same seed; one advances with ``engine.step``, the
 other with :func:`reference_step.reference_step`. After every step their
 states must hold the same bytes, so the engine's leader cache, its skipped
-personal-best writes, its in-place velocity update and its freeze path change
-no value, signed zeros included.
+personal-best writes, its in-place velocity update, its (2, N, D) work buffer
+and its freeze path change no value, signed zeros included. The stacked
+arrays are compared whole: the bests include the neighbourhood bests the step
+used, and the work buffer ends holding the binarization uniforms and the bit
+probabilities.
 """
 
 import numpy as np
@@ -14,8 +17,8 @@ from hypothesis import strategies as st
 from orgswarm import OrgDesign, SimConfig, Tendency, init_swarm, replicate_rng, step
 from reference_step import reference_step
 
-FIELDS = ("positions", "velocities", "pbest_positions", "pbest_fitness", "fitness",
-          "self_belief", "prestige_bias", "feedback_ema", "first_hit")
+FIELDS = ("positions", "velocities", "bests", "pbest_fitness", "fitness",
+          "coefficients", "feedback_ema", "first_hit", "work")
 
 
 @st.composite
@@ -68,6 +71,10 @@ def _config(**overrides):
                  prestige_bias_init=(-0.5, 0.0)), 3)
 @example(_config(delta=1, freeze_on_goal=True, dim=4), 0)  # an int delta is valid
 @example(_config(delta=1, tendency=Tendency.PERCEPTIVE), 1)
+@example(_config(delta=1, coeff_min=0, coeff_max=2, self_belief_init=(0, 2),  # all ints
+                 prestige_bias_init=(1, 2), stochastic_acceleration=True), 2)
+@example(_config(delta=1, coeff_min=-1, coeff_max=3, inertia_init=(1, 1),
+                 tendency=Tendency.PERCEPTIVE, freeze_on_goal=True, dim=4), 3)
 def test_step_matches_reference_step(config, replicate):
     config.validate()
     engine = init_swarm(config, replicate_rng(config.master_seed, replicate))

@@ -22,8 +22,10 @@ better in the direction ``BENCHMARK.json`` gives; ties count for neither)
 and ``median_change_<metric>`` (change median / parent median - 1).
 
 ``--profile`` runs ``run_experiment`` once per side under cProfile, on the
-first seed's config, and records each orgswarm function's call count and
-the calls of ``numpy.array`` and of ``ndarray.copy`` per orgswarm caller.
+first seed's config, and records each orgswarm function's call count, the
+calls of ``numpy.array`` and of ``ndarray.copy`` per orgswarm caller, and
+the minor page faults and system CPU seconds spent during the run
+(``resource.getrusage`` of the process and of the workers it waited for).
 
 ``--out FILE --key NAME`` stores the record as ``FILE[NAME]``, with the
 host's description under ``FILE["host"]``; otherwise it goes to stdout.
@@ -46,7 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PROFILE = r"""
-import cProfile, json, pstats, sys, tempfile
+import cProfile, json, pstats, resource, sys, tempfile
 from pathlib import Path
 root, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path[:0] = [root + "/src", root + "/perfbench"]
@@ -54,8 +56,13 @@ import workloads
 from orgswarm.experiment import parse_config_dict, run_experiment
 spec = parse_config_dict(workloads.config(workload, seed))
 profiler = cProfile.Profile()
+def usage():  # (minor page faults, system CPU s) of this process and its waited-for workers
+    both = [resource.getrusage(w) for w in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    return sum(u.ru_minflt for u in both), sum(u.ru_stime for u in both)
+faults, system_s = usage()
 with tempfile.TemporaryDirectory() as out:
     profiler.runcall(run_experiment, spec, out)
+faults_after, system_s_after = usage()
 ours = lambda path: "/orgswarm/" in path.replace("\\", "/")
 # numpy builtins whose calls are counted per orgswarm caller
 watched = {"<built-in method numpy.array>": "np_array_callers",
@@ -72,6 +79,8 @@ for (path, _, name), (_, ncalls, _, _, callers) in pstats.Stats(profiler).stats.
             if ours(p):
                 key = f"{Path(p).stem}.{n}"
                 by_caller[key] = by_caller.get(key, 0) + c[1]
+counts["rusage"] = {"minor_faults": faults_after - faults,
+                    "system_s": round(system_s_after - system_s, 6)}
 print(json.dumps({k: dict(sorted(v.items())) for k, v in counts.items()}))
 """
 
