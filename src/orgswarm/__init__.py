@@ -10,8 +10,7 @@ reproducible replicates.
 
 from .engine import (ReplicateResult, SimConfig, SwarmState, derive_replicate_seed,
                      init_swarm, replicate_rng, run_replicate, step)
-from .errors import (ConfigError, DimensionMismatchError, InvalidParameterError,
-                     InvariantViolation, OrgswarmError)
+from .errors import ConfigError, InvalidParameterError, InvariantViolation, OrgswarmError
 from .experiment import (Arm, ExperimentOutput, ExperimentSpec, parse_config,
                          parse_config_dict, run_experiment, serialize_spec,
                          with_overrides)
@@ -19,8 +18,7 @@ from .kinematics import clamp_velocity, sigmoid, update_velocity
 from .policies import Tendency, pressure
 from .stats import (ArmComparison, ArmSummary, MannWhitneyResult, aggregate_arm,
                     compare_arms, mann_whitney_u)
-from .strategy import (fitness, fitness_many, from_bitstring, hamming_distance,
-                       random_position, random_positions, to_bitstring)
+from .strategy import fitness_many, to_bitstring
 from .topology import (DesignKind, OrgDesign, SiloAssignment, build_assignment,
                        reshuffle, silo_leaders)
 
@@ -28,14 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arm", "ArmComparison", "ArmSummary", "ConfigError", "DesignKind",
-    "DimensionMismatchError", "ExperimentOutput", "ExperimentSpec",
-    "InvalidParameterError", "InvariantViolation", "MannWhitneyResult",
-    "OrgDesign", "OrgswarmError", "ReplicateResult", "SiloAssignment",
-    "SimConfig", "SwarmState", "Tendency", "aggregate_arm", "build_assignment",
-    "clamp_velocity", "compare_arms", "derive_replicate_seed", "fitness",
-    "fitness_many", "from_bitstring", "hamming_distance", "init_swarm",
-    "mann_whitney_u", "parse_config", "parse_config_dict", "pressure",
-    "random_position", "random_positions", "replicate_rng", "reshuffle", "run_experiment", "run_replicate",
-    "serialize_spec", "sigmoid", "silo_leaders", "step", "to_bitstring",
-    "update_velocity", "with_overrides", "__version__",
+    "ExperimentOutput", "ExperimentSpec", "InvalidParameterError",
+    "InvariantViolation", "MannWhitneyResult", "OrgDesign", "OrgswarmError",
+    "ReplicateResult", "SiloAssignment", "SimConfig", "SwarmState", "Tendency",
+    "aggregate_arm", "build_assignment", "clamp_velocity", "compare_arms",
+    "derive_replicate_seed", "fitness_many", "init_swarm", "mann_whitney_u",
+    "parse_config", "parse_config_dict", "pressure", "replicate_rng", "reshuffle",
+    "run_experiment", "run_replicate", "serialize_spec", "sigmoid", "silo_leaders",
+    "step", "to_bitstring", "update_velocity", "with_overrides", "__version__",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, InvalidParameterError, InvariantViolation, is_int, is_real
 from .kinematics import clamp_velocity, sigmoid, update_velocity
 from .policies import Tendency, perceptive_shift, reactive_shift
-from .strategy import BIT_DTYPE, fitness_many, random_position, random_positions
+from .strategy import BIT_DTYPE, fitness_many
 from .topology import (DesignKind, OrgDesign, SiloAssignment, build_assignment,
                        reshuffle, silo_leaders)
 
@@ -207,8 +207,8 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
     keeps every iteration's fitness, "full" also each agent's silo and
     coefficients, "none" nothing per iteration.
     """
-    goal = random_position(config.dim, rng)
-    positions = random_positions(config.agents, config.dim, rng)
+    goal = rng.integers(0, 2, size=config.dim, dtype=BIT_DTYPE)
+    positions = rng.integers(0, 2, size=(config.agents, config.dim), dtype=BIT_DTYPE)
     inertia = rng.uniform(*config.inertia_init, config.agents)
     coefficients = np.array([rng.uniform(*config.self_belief_init, config.agents),
                              rng.uniform(*config.prestige_bias_init, config.agents)])

@@ -7,10 +7,6 @@ class OrgswarmError(Exception):
     """Base class for all orgswarm errors."""
 
 
-class DimensionMismatchError(OrgswarmError, ValueError):
-    """Operands have incompatible dimensionality."""
-
-
 class InvalidParameterError(OrgswarmError, ValueError):
     """A numeric parameter is outside its legal range."""
 

@@ -51,7 +51,7 @@ def perceptive_shift(feedback_ema, coefficients, signal, t, horizon, alpha, delt
     coefficient move follows the reactive rule with direction sign(ema') and
     magnitude delta * (pressure + (1 - pressure) * alpha).
     """
-    ema = (1.0 - alpha) * np.asarray(feedback_ema, dtype=float) + alpha * np.asarray(signal)
+    ema = (1.0 - alpha) * feedback_ema + alpha * signal
     press = pressure(t, horizon)
     step = delta * (press + (1.0 - press) * alpha)
     return ema, reactive_shift(coefficients, ema, step, lo, hi)
