@@ -7,11 +7,11 @@ convergence) or the iteration budget runs out.
 
 import numpy as np
 
-from orgswarm import OrgDesign, SimConfig, Tendency, run_replicate, to_bitstring
+from orgswarm import DesignKind, SimConfig, Tendency, run_replicate, to_bitstring
 
 config = SimConfig(
     master_seed=2026,
-    design=OrgDesign.fully_networked(),
+    design=DesignKind.FULLY_NETWORKED,
     tendency=Tendency.REACTIVE,
 )
 

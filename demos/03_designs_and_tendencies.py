@@ -6,20 +6,20 @@ REPLICATES for tighter medians.
 
 import numpy as np
 
-from orgswarm import OrgDesign, SimConfig, Tendency, run_replicate
+from orgswarm import DesignKind, SimConfig, Tendency, run_replicate
 
 REPLICATES = 40
 
 designs = {
-    "fully_networked": OrgDesign.fully_networked(),
-    "dynamic": OrgDesign.dynamic(silo_count=5, reshuffle_interval=10),
-    "siloed": OrgDesign.siloed(silo_count=5),
+    "fully_networked": dict(design=DesignKind.FULLY_NETWORKED),
+    "dynamic": dict(design=DesignKind.DYNAMIC, silo_count=5, reshuffle_interval=10),
+    "siloed": dict(design=DesignKind.SILOED, silo_count=5),
 }
 
 print(f"{'arm':32s} {'success':>8s} {'median':>7s} {'IQR':>12s}")
 for tendency in Tendency:
     for name, design in designs.items():
-        config = SimConfig(master_seed=20260808, design=design, tendency=tendency)
+        config = SimConfig(master_seed=20260808, tendency=tendency, **design)
         conv = []
         for i in range(REPLICATES):
             r = run_replicate(config, i, trace_level="none")

@@ -6,7 +6,7 @@ beyond 20 per side use the tie-corrected normal approximation.
 
 import numpy as np
 
-from orgswarm import OrgDesign, SimConfig, Tendency, compare_arms, mann_whitney_u, run_replicate
+from orgswarm import DesignKind, SimConfig, Tendency, compare_arms, mann_whitney_u, run_replicate
 
 # exact path on toy samples
 r = mann_whitney_u([1, 2, 3], [10, 11, 12])
@@ -16,8 +16,8 @@ r = mann_whitney_u([4, 5, 6], [4, 5, 6])
 print(f"identical samples:     U={r.u_statistic}, p={r.p_value:.4f} ({r.method})")
 
 # real comparison: fully networked vs siloed, reactive tendency
-def arm(design):
-    config = SimConfig(master_seed=11, design=design, tendency=Tendency.REACTIVE)
+def arm(design, **options):
+    config = SimConfig(master_seed=11, design=design, tendency=Tendency.REACTIVE, **options)
     out = []
     for i in range(60):
         rep = run_replicate(config, i, trace_level="none")
@@ -25,8 +25,8 @@ def arm(design):
             out.append(rep.group_convergence)
     return out
 
-fn = arm(OrgDesign.fully_networked())
-silo = arm(OrgDesign.siloed(5))
+fn = arm(DesignKind.FULLY_NETWORKED)
+silo = arm(DesignKind.SILOED, silo_count=5)
 c = compare_arms(fn, silo)
 print(f"\nfully networked vs siloed (reactive, 60 replicates):")
 print(f"  medians {np.median(fn):.0f} vs {np.median(silo):.0f}")

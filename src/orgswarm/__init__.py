@@ -19,15 +19,14 @@ from .policies import Tendency, pressure
 from .stats import (ArmComparison, ArmSummary, MannWhitneyResult, aggregate_arm,
                     compare_arms, mann_whitney_u)
 from .strategy import fitness_many, to_bitstring
-from .topology import (DesignKind, OrgDesign, SiloAssignment, build_assignment,
-                       reshuffle, silo_leaders)
+from .topology import DesignKind, SiloAssignment, build_assignment, reshuffle, silo_leaders
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arm", "ArmComparison", "ArmSummary", "ConfigError", "DesignKind",
     "ExperimentOutput", "ExperimentSpec", "InvalidParameterError",
-    "InvariantViolation", "MannWhitneyResult", "OrgDesign", "OrgswarmError",
+    "InvariantViolation", "MannWhitneyResult", "OrgswarmError",
     "ReplicateResult", "SiloAssignment", "SimConfig", "SwarmState", "Tendency",
     "aggregate_arm", "build_assignment", "clamp_velocity", "compare_arms",
     "derive_replicate_seed", "fitness_many", "init_swarm", "mann_whitney_u",

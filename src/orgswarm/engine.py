@@ -30,8 +30,7 @@ from .errors import ConfigError, InvalidParameterError, InvariantViolation, is_i
 from .kinematics import clamp_velocity, sigmoid, update_velocity
 from .policies import Tendency, perceptive_shift, reactive_shift
 from .strategy import BIT_DTYPE, fitness_many
-from .topology import (DesignKind, OrgDesign, SiloAssignment, build_assignment,
-                       reshuffle, silo_leaders)
+from .topology import DesignKind, SiloAssignment, build_assignment, reshuffle, silo_leaders
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -90,8 +89,11 @@ class SimConfig:
     """
 
     master_seed: int = _param("u64", lambda v: is_int(v) and 0 <= v < 2 ** 64)
-    design: OrgDesign = _param("OrgDesign", lambda v: isinstance(v, OrgDesign))
+    design: DesignKind = _param("fully_networked|siloed|dynamic",
+                                lambda v: isinstance(v, DesignKind))
     tendency: Tendency = _param("reactive|perceptive", lambda v: isinstance(v, Tendency))
+    silo_count: int = _count(5)          # siloed and dynamic only
+    reshuffle_interval: int = _count(10)  # dynamic only
     dim: int = _count(25)
     agents: int = _count(20)
     max_iterations: int = _count(1000)
@@ -130,8 +132,11 @@ class SimConfig:
                     if name not in bad and not (lo <= pair[0] and pair[1] <= hi):
                         bad[name] = (f"{name} (range within [{lo}, {hi}] required, "
                                      f"got [{pair[0]}, {pair[1]}])")
-        if not bad.keys() & {"design", "agents"}:
-            bad.update(self.design.validate(self.agents))
+        if (self.design is not DesignKind.FULLY_NETWORKED
+                and not bad.keys() & {"design", "agents", "silo_count"}
+                and self.silo_count > self.agents):
+            bad["silo_count"] = (f"silo_count (integer in [1, {self.agents}] required, "
+                                 f"got {self.silo_count!r})")
         if bad:
             raise ConfigError("invalid config: " + "; ".join(bad.values()),
                               fields=list(bad))
@@ -212,7 +217,7 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
     inertia = rng.uniform(*config.inertia_init, config.agents)
     coefficients = np.array([rng.uniform(*config.self_belief_init, config.agents),
                              rng.uniform(*config.prestige_bias_init, config.agents)])
-    assignment = build_assignment(config.design, config.agents, rng)
+    assignment = build_assignment(config.design, config.silo_count, config.agents, rng)
     fit = fitness_many(positions, goal)
     first_hit = np.where(fit == 0, 0, -1).astype(np.int64)
     state = SwarmState(
@@ -261,8 +266,7 @@ def step(state: SwarmState, t: int) -> SwarmState:
     if t != state.t + 1:
         raise InvalidParameterError(f"expected iteration {state.t + 1}, got {t}")
 
-    design = cfg.design
-    if design.kind is DesignKind.DYNAMIC and t % design.reshuffle_interval == 0:
+    if cfg.design is DesignKind.DYNAMIC and t % cfg.reshuffle_interval == 0:
         state.assignment = reshuffle(state.assignment, state.rng)
         state.stale = True
 

@@ -40,18 +40,13 @@ from .policies import Tendency
 from .stats import (ArmComparison, ArmSummary, aggregate_arm, censored_values,
                     compare_arms, convergence_values)
 from .strategy import to_bitstring
-from .topology import DesignKind, OrgDesign
+from .topology import DesignKind
 
 # SimConfig fields a config sets globally or per arm; absent ones keep the
 # SimConfig default.
 _PARAMS = tuple(f.name for f in fields(SimConfig) if f.default is not MISSING)
-# OrgDesign parameters; absent ones keep the OrgDesign.siloed/dynamic default.
-_DESIGN_PARAMS = ("silo_count", "reshuffle_interval")
-# Accepted for configs written when this was a field; it has one legal value.
-_BINARIZATION = "sigmoid-stochastic"
-_SHARED_KEYS = {*_PARAMS, *_DESIGN_PARAMS, "binarization"}
-_TOP_LEVEL_KEYS = _SHARED_KEYS | {"master_seed", "out_dir", "trace", "workers", "arms"}
-_ARM_KEYS = _SHARED_KEYS | {"design", "tendency", "label"}
+_TOP_LEVEL_KEYS = {*_PARAMS, "master_seed", "out_dir", "trace", "workers", "arms"}
+_ARM_KEYS = {*_PARAMS, "design", "tendency", "label"}
 _LABEL_FORBIDDEN = "/\\,\n\r\0"
 _BLOCK = 25  # replicates per block
 
@@ -70,29 +65,13 @@ class ExperimentSpec:
     workers: int | None = None
 
 
-def _design_from(kind, params: dict) -> OrgDesign:
+def _choice(kind, name: str, value):
+    """The ``kind`` enum member whose value is ``value`` (config field ``name``)."""
     try:
-        kind = DesignKind(kind)
+        return kind(value)
     except ValueError:
-        raise ConfigError(
-            f"design must be one of {[k.value for k in DesignKind]}, got {kind!r}",
-            fields=["design"]) from None
-    if kind is DesignKind.FULLY_NETWORKED:
-        return OrgDesign.fully_networked()
-    options = {k: params[k] for k in _DESIGN_PARAMS if k in params}
-    if kind is DesignKind.SILOED:
-        options.pop("reshuffle_interval", None)
-        return OrgDesign.siloed(**options)
-    return OrgDesign.dynamic(**options)
-
-
-def _tendency_from(value) -> Tendency:
-    try:
-        return Tendency(value)
-    except ValueError:
-        raise ConfigError(
-            f"tendency must be one of {[t.value for t in Tendency]}, got {value!r}",
-            fields=["tendency"]) from None
+        raise ConfigError(f"{name} must be one of {[k.value for k in kind]}, got {value!r}",
+                          fields=[name]) from None
 
 
 def _check_label(label) -> str:
@@ -144,7 +123,7 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
     if not isinstance(arm_entries, list) or not arm_entries:
         raise ConfigError("arms must be a non-empty list", fields=["arms"])
 
-    shared = {k: v for k, v in data.items() if k in _SHARED_KEYS}
+    shared = {k: v for k, v in data.items() if k in _PARAMS}
     arms: list[Arm] = []
     for i, entry in enumerate(arm_entries):
         if not isinstance(entry, dict):
@@ -157,12 +136,9 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
             if required not in entry:
                 raise ConfigError(f"arm {i}: missing {required}", fields=[required])
         params = {**shared, **entry}
-        if params.get("binarization", _BINARIZATION) != _BINARIZATION:
-            raise ConfigError(f"binarization must be {_BINARIZATION!r}, got "
-                              f"{params['binarization']!r}", fields=["binarization"])
-        design = _design_from(entry["design"], params)
-        tendency = _tendency_from(entry["tendency"])
-        label = _check_label(entry.get("label", f"{design.kind.value}+{tendency.value}"))
+        design = _choice(DesignKind, "design", entry["design"])
+        tendency = _choice(Tendency, "tendency", entry["tendency"])
+        label = _check_label(entry.get("label", f"{design.value}+{tendency.value}"))
         config = SimConfig(
             master_seed=data["master_seed"], design=design, tendency=tendency,
             **{k: tuple(v) if isinstance(v, list) else v
@@ -196,15 +172,11 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
     arms = []
     for arm in spec.arms:
         c = arm.config
-        entry = {"label": arm.label, "design": c.design.kind.value,
+        entry = {"label": arm.label, "design": c.design.value,
                  "tendency": c.tendency.value}
         for name in _PARAMS:
             value = getattr(c, name)
             entry[name] = list(value) if isinstance(value, tuple) else value
-        if c.design.kind is not DesignKind.FULLY_NETWORKED:
-            entry["silo_count"] = c.design.silo_count
-        if c.design.kind is DesignKind.DYNAMIC:
-            entry["reshuffle_interval"] = c.design.reshuffle_interval
         arms.append(entry)
     return {
         "master_seed": seeds[0],

@@ -110,27 +110,19 @@ def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _u_tail_counts(m: int, n: int) -> tuple[int, ...]:
     """Count of tie-free arrangements of m+n values with U(first side) = u.
 
-    Recurrence on the largest pooled value: if it belongs to the first side
-    it beats all n of the second, otherwise it contributes nothing:
-    N(u; m, n) = N(u - n; m - 1, n) + N(u; m, n - 1).
+    The counts for u = 0..m*n are the coefficients of the Gaussian binomial
+    [m+n choose m]_q = prod_{i=1..m} (1 - q^(n+i)) / (1 - q^i), built one
+    factor at a time. Both operations only move coefficients to higher
+    degrees, so cutting every intermediate off at degree m*n is exact.
     """
-    table: dict[tuple[int, int], list[int]] = {}
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if i == 0 or j == 0:
-                table[(i, j)] = [1]
-                continue
-            size = i * j + 1
-            left = table[(i - 1, j)]
-            down = table[(i, j - 1)]
-            row = [0] * size
-            for u in range(size):
-                if u - j >= 0 and u - j < len(left):
-                    row[u] += left[u - j]
-                if u < len(down):
-                    row[u] += down[u]
-            table[(i, j)] = row
-    return tuple(table[(m, n)])
+    top = m * n
+    counts = [1] + [0] * top
+    for i in range(1, m + 1):
+        for k in range(top, n + i - 1, -1):
+            counts[k] -= counts[k - n - i]
+        for k in range(i, top + 1):
+            counts[k] += counts[k - i]
+    return tuple(counts)
 
 
 def _normal_sf(x: float) -> float:

@@ -4,10 +4,14 @@ Three designs constrain which "most fit" reference each agent can see:
 
 * fully_networked -- one silo containing everyone; all agents share the same
   reference.
-* siloed -- a fixed random balanced partition into disjoint silos; agents see
-  only their own silo.
+* siloed -- a fixed random balanced partition into ``silo_count`` disjoint
+  silos; agents see only their own silo.
 * dynamic -- siloed, but the partition is redrawn every ``reshuffle_interval``
   iterations.
+
+A design is three plain :class:`~orgswarm.engine.SimConfig` fields
+(``design``, ``silo_count``, ``reshuffle_interval``), checked there once;
+the functions here take them as given.
 """
 
 from __future__ import annotations
@@ -17,55 +21,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, InvariantViolation, is_int
-
-
-SILO_COUNT = 5           # default for siloed and dynamic designs
-RESHUFFLE_INTERVAL = 10  # default for dynamic designs
+from .errors import InvariantViolation
 
 
 class DesignKind(str, Enum):
     FULLY_NETWORKED = "fully_networked"
     SILOED = "siloed"
     DYNAMIC = "dynamic"
-
-
-@dataclass(frozen=True)
-class OrgDesign:
-    """Communication structure; ``silo_count``/``reshuffle_interval`` apply as noted."""
-
-    kind: DesignKind
-    silo_count: int = 1
-    reshuffle_interval: int | None = None
-
-    @classmethod
-    def fully_networked(cls) -> "OrgDesign":
-        return cls(DesignKind.FULLY_NETWORKED)
-
-    @classmethod
-    def siloed(cls, silo_count: int = SILO_COUNT) -> "OrgDesign":
-        return cls(DesignKind.SILOED, silo_count=silo_count)
-
-    @classmethod
-    def dynamic(cls, silo_count: int = SILO_COUNT,
-                reshuffle_interval: int = RESHUFFLE_INTERVAL) -> "OrgDesign":
-        return cls(DesignKind.DYNAMIC, silo_count=silo_count,
-                   reshuffle_interval=reshuffle_interval)
-
-    def validate(self, agent_count: int) -> dict[str, str]:
-        """Map each offending field to a description (empty when valid)."""
-        problems = {}
-        if self.kind is DesignKind.FULLY_NETWORKED:
-            if self.silo_count != 1:
-                problems["silo_count"] = "silo_count (must be 1 for fully_networked)"
-        elif not (is_int(self.silo_count) and 1 <= self.silo_count <= agent_count):
-            problems["silo_count"] = (f"silo_count (integer in [1, {agent_count}] "
-                                      f"required, got {self.silo_count!r})")
-        if self.kind is DesignKind.DYNAMIC and not (
-                is_int(self.reshuffle_interval) and self.reshuffle_interval >= 1):
-            problems["reshuffle_interval"] = (f"reshuffle_interval (integer >= 1 "
-                                              f"required, got {self.reshuffle_interval!r})")
-        return problems
 
 
 @dataclass
@@ -102,23 +64,17 @@ def _balanced_sizes(agent_count: int, silo_count: int) -> np.ndarray:
     return sizes
 
 
-def build_assignment(design: OrgDesign, agent_count: int,
+def build_assignment(design: DesignKind, silo_count: int, agent_count: int,
                      rng: np.random.Generator) -> SiloAssignment:
-    """Initial silo assignment for a design.
+    """Initial silo assignment for a design (``silo_count`` in [1, agent_count]).
 
     Fully-networked puts everyone in silo 0 without consuming randomness;
-    siloed/dynamic draw one random permutation and deal it into balanced
-    silos, which makes the partition uniform over balanced partitions.
+    siloed/dynamic draw one random permutation and deal it into ``silo_count``
+    balanced silos, which makes the partition uniform over balanced partitions.
     """
-    if agent_count < 1:
-        raise InvalidParameterError(f"agent_count must be >= 1, got {agent_count}")
-    if design.kind is DesignKind.FULLY_NETWORKED:
+    if design is DesignKind.FULLY_NETWORKED:
         return SiloAssignment(np.zeros(agent_count, dtype=np.int64), 1)
-    if design.silo_count > agent_count:
-        raise ConfigError(
-            f"silo_count {design.silo_count} exceeds agent_count {agent_count}",
-            fields=["silo_count"])
-    return _random_partition(agent_count, design.silo_count, rng)
+    return _random_partition(agent_count, silo_count, rng)
 
 
 def _random_partition(agent_count: int, silo_count: int,

@@ -27,8 +27,7 @@ def reference_step(state, t):
     cfg = state.config
     assert t == state.t + 1
 
-    design = cfg.design
-    if design.kind is DesignKind.DYNAMIC and t % design.reshuffle_interval == 0:
+    if cfg.design is DesignKind.DYNAMIC and t % cfg.reshuffle_interval == 0:
         state.assignment = reshuffle(state.assignment, state.rng)
 
     if cfg.gbest_mode == "historical":

@@ -7,7 +7,7 @@ always sets the bit and a draw of 1.0 never does, whatever the velocity.
 
 import numpy as np
 
-from orgswarm import OrgDesign, SimConfig, Tendency, init_swarm
+from orgswarm import DesignKind, SimConfig, Tendency, init_swarm
 
 
 class ScriptedRng:
@@ -41,7 +41,7 @@ def scripted_state(fitness_traces, dim=8, **overrides):
     ``fitness_traces[i][t]`` (its first that many bits are set; the goal is 0)."""
     traces = np.asarray(fitness_traces)
     positions = (np.arange(dim) < traces.T[:, :, None]).astype(np.int8)
-    cfg = dict(master_seed=1, design=OrgDesign.fully_networked(),
+    cfg = dict(master_seed=1, design=DesignKind.FULLY_NETWORKED,
                tendency=Tendency.REACTIVE, dim=dim, agents=traces.shape[0])
     cfg.update(overrides)
     return init_swarm(SimConfig(**cfg), ScriptedRng(positions))

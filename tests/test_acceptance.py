@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from orgswarm import (OrgDesign, SimConfig, Tendency, clamp_velocity, init_swarm,
+from orgswarm import (DesignKind, SimConfig, Tendency, clamp_velocity, init_swarm,
                       mann_whitney_u, parse_config_dict, replicate_rng,
                       run_experiment, run_replicate, step, with_overrides)
 from orgswarm.stats import convergence_values
@@ -154,7 +154,7 @@ def brute_force_states(snapshot, draws, steps, delta, v_max, lo, hi):
 
 
 def test_criterion_2_kinematics_oracle():
-    config = SimConfig(master_seed=4242, design=OrgDesign.fully_networked(),
+    config = SimConfig(master_seed=4242, design=DesignKind.FULLY_NETWORKED,
                        tendency=Tendency.REACTIVE, dim=3, agents=2,
                        max_iterations=5)
     rng = RecordingRng(replicate_rng(config.master_seed, 0))
@@ -226,7 +226,7 @@ def test_criterion_3_invariant_suite():
         violations += int(((c1 < 0) | (c1 > 2) | (c2 < 0) | (c2 > 2)).sum())
 
     # silo balance across reshuffles
-    assignment = build_assignment(OrgDesign.siloed(5), 20, np.random.default_rng(5))
+    assignment = build_assignment(DesignKind.SILOED, 5, 20, np.random.default_rng(5))
     shuffle_rng = np.random.default_rng(6)
     for _ in range(1000):
         assignment = reshuffle(assignment, shuffle_rng)
@@ -237,7 +237,7 @@ def test_criterion_3_invariant_suite():
     # engine invariants: pbest monotone, fully-networked historical
     # neighborhood-best fitness monotone (per agent per iteration = a case)
     for rep in range(6):
-        cfg = SimConfig(master_seed=777, design=OrgDesign.fully_networked(),
+        cfg = SimConfig(master_seed=777, design=DesignKind.FULLY_NETWORKED,
                         tendency=Tendency.REACTIVE if rep % 2 else Tendency.PERCEPTIVE,
                         dim=12, agents=8, max_iterations=60)
         st = init_swarm(cfg, replicate_rng(cfg.master_seed, rep))
@@ -297,7 +297,7 @@ def test_criterion_4_statistics_oracle():
 # ---------------------------------------------------------------------------
 # criteria 5-7: comparative orderings on the default grid
 
-def _run_arm(design: OrgDesign, tendency: Tendency, replicates: int = 100,
+def _run_arm(design: DesignKind, tendency: Tendency, replicates: int = 100,
              **overrides) -> list[int]:
     cfg = SimConfig(master_seed=ACCEPTANCE_SEED, design=design,
                     tendency=tendency, **overrides)
@@ -325,7 +325,8 @@ def test_criterion_5_reactive_design_ordering(default_grid, tmp_path):
         lines = ["Dynamic-vs-Siloed (reactive) ordering sweep over reshuffle "
                  "interval R (100 replicates/arm):"]
         for r_interval in (5, 10, 25):
-            dyn_r = _run_arm(OrgDesign.dynamic(5, r_interval), Tendency.REACTIVE)
+            dyn_r = _run_arm(DesignKind.DYNAMIC, Tendency.REACTIVE, silo_count=5,
+                             reshuffle_interval=r_interval)
             cmp_r = mann_whitney_u(dyn_r, silo)
             lines.append(f"  R={r_interval}: median Dynamic {median(dyn_r):.1f} "
                          f"vs Siloed {m_silo:.1f} (p={cmp_r.p_value:.3g})")
@@ -352,9 +353,9 @@ def test_criterion_6_perceptive_halving_claim(default_grid, tmp_path):
              "Gap documented against parameter sweeps (100 replicates/arm):"]
     for alpha in (0.05, 0.1, 0.2):
         for horizon in (250, 500):
-            fn_s = _run_arm(OrgDesign.fully_networked(), Tendency.PERCEPTIVE,
+            fn_s = _run_arm(DesignKind.FULLY_NETWORKED, Tendency.PERCEPTIVE,
                             alpha=alpha, pressure_horizon=horizon)
-            silo_s = _run_arm(OrgDesign.siloed(5), Tendency.PERCEPTIVE,
+            silo_s = _run_arm(DesignKind.SILOED, Tendency.PERCEPTIVE, silo_count=5,
                               alpha=alpha, pressure_horizon=horizon)
             r = median(fn_s) / median(silo_s) if fn_s and silo_s else float("nan")
             lines.append(f"  alpha={alpha}, T_p={horizon}: ratio {r:.3f} "
@@ -382,7 +383,8 @@ def test_criterion_7_reshuffling_does_not_help_perceptive(default_grid, tmp_path
              f"defaults ({detail}).",
              "Sensitivity over reshuffle interval R (100 replicates/arm):"]
     for r_interval in (5, 10, 25):
-        dyn_r = _run_arm(OrgDesign.dynamic(5, r_interval), Tendency.PERCEPTIVE)
+        dyn_r = _run_arm(DesignKind.DYNAMIC, Tendency.PERCEPTIVE, silo_count=5,
+                         reshuffle_interval=r_interval)
         cmp_r = mann_whitney_u(dyn_r, silo)
         faster = median(dyn_r) < m_silo and cmp_r.p_value < 0.05
         lines.append(f"  R={r_interval}: median {median(dyn_r):.1f} vs Siloed "
@@ -403,7 +405,7 @@ def test_criterion_7_reshuffling_does_not_help_perceptive(default_grid, tmp_path
 def test_criterion_8_runtime(default_grid):
     _, _, grid_elapsed = default_grid
     cfg = SimConfig(master_seed=ACCEPTANCE_SEED,
-                    design=OrgDesign.fully_networked(), tendency=Tendency.REACTIVE)
+                    design=DesignKind.FULLY_NETWORKED, tendency=Tendency.REACTIVE)
     run_replicate(cfg, 0)  # warm-up
     single = min(
         _timed(run_replicate, cfg, i) for i in range(3))

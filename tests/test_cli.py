@@ -102,6 +102,13 @@ class TestRun:
         ({"inertia_init": [True, True]}, "inertia_init"),
         ({"stochastic_acceleration": "yes"}, "stochastic_acceleration"),
         ({"freeze_on_goal": 1}, "freeze_on_goal"),
+        # design fields are checked on every arm, used or not
+        ({"arms": [{"design": "fully_networked", "tendency": "reactive",
+                    "silo_count": "abc"}]}, "silo_count"),
+        ({"arms": [{"design": "fully_networked", "tendency": "reactive",
+                    "silo_count": 0}]}, "silo_count"),
+        ({"arms": [{"design": "siloed", "tendency": "reactive",
+                    "reshuffle_interval": [1, 2]}]}, "reshuffle_interval"),
     ])
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys, override, field):
         out_dir = tmp_path / "out"
@@ -110,6 +117,12 @@ class TestRun:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_fully_networked_arm_ignores_silo_count(self, tmp_path):
+        # the default silo_count (5) exceeds 3 agents, but one silo is built
+        arms = [{"design": "fully_networked", "tendency": "reactive"}]
+        config = write_config(tmp_path, {"master_seed": 1, "agents": 3, "arms": arms})
+        assert main(["validate", "--config", config]) == 0
 
     def test_label_cannot_escape_out_dir(self, tmp_path, capsys):
         arms = [{"design": "siloed", "tendency": "reactive", "label": "../../escaped"}]

@@ -23,12 +23,11 @@ VALID = {
     "gbest_mode": ["historical", "instantaneous"],
     "stochastic_acceleration": [False, True], "freeze_on_goal": [False, True],
     "silo_count": [2, 5], "reshuffle_interval": [3], "label": ["a", "b"],
-    "binarization": ["sigmoid-stochastic"], "out_dir": ["results"],
+    "out_dir": ["results"],
     "trace": ["none", "group", "full"], "workers": [None, 1, 2],
 }
 SHARED = [f.name for f in fields(SimConfig) if f.name not in (
-    "master_seed", "design", "tendency")] + ["silo_count", "reshuffle_interval",
-                                             "binarization"]
+    "master_seed", "design", "tendency")]
 
 anything = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 30),

@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, OrgDesign, SimConfig, Tendency,
+from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency,
                       derive_replicate_seed, init_swarm, parse_config_dict,
                       replicate_rng, run_replicate, step)
 
 
 def config(**overrides):
-    base = dict(master_seed=42, design=OrgDesign.fully_networked(),
+    base = dict(master_seed=42, design=DesignKind.FULLY_NETWORKED,
                 tendency=Tendency.REACTIVE, dim=8, agents=6, max_iterations=80)
     base.update(overrides)
     return SimConfig(**base)
@@ -17,7 +17,7 @@ def config(**overrides):
 
 class TestSimConfig:
     def test_defaults(self):
-        c = SimConfig(master_seed=1, design=OrgDesign.fully_networked(),
+        c = SimConfig(master_seed=1, design=DesignKind.FULLY_NETWORKED,
                       tendency=Tendency.REACTIVE)
         assert (c.dim, c.agents, c.max_iterations) == (25, 20, 1000)
         assert c.v_max == 4.0 and c.delta == 0.1 and c.alpha == 0.1
@@ -40,7 +40,7 @@ class TestSimConfig:
 
     def test_silo_count_checked_against_agents(self):
         with pytest.raises(ConfigError) as err:
-            config(design=OrgDesign.siloed(30), agents=20).validate()
+            config(design=DesignKind.SILOED, silo_count=30, agents=20).validate()
         assert "silo_count" in str(err.value)
 
     def test_bad_gbest_mode(self):
@@ -48,12 +48,11 @@ class TestSimConfig:
             config(gbest_mode="psychic").validate()
 
     def test_bad_binarization(self):
-        # not a SimConfig field: the one stochastic-sigmoid rule is the
-        # model; configs may still name it, and nothing else
+        # not a config key: the one stochastic-sigmoid rule is the model, so
+        # a config naming it, even with that value, is rejected as unknown
         assert not hasattr(config(), "binarization")
-        ok = {"master_seed": 1, "binarization": "sigmoid-stochastic"}
-        assert parse_config_dict(ok) == parse_config_dict({"master_seed": 1})
-        for bad in ({**ok, "binarization": "round"},
+        for bad in ({"master_seed": 1, "binarization": "sigmoid-stochastic"},
+                    {"master_seed": 1, "binarization": "round"},
                     {"master_seed": 1, "arms": [{"design": "siloed",
                                                  "tendency": "reactive",
                                                  "binarization": None}]}):
@@ -148,7 +147,7 @@ class TestStep:
         # The (N, D) arithmetic runs in the state's buffers: after warm-up, a
         # step's peak of fresh memory stays below one N x D float block
         # (the bit rows it allocates are 1 byte per element).
-        c = config(dim=200, agents=200, design=OrgDesign.siloed(20),
+        c = config(dim=200, agents=200, design=DesignKind.SILOED, silo_count=20,
                    stochastic_acceleration=True, gbest_mode="instantaneous")
         state = init_swarm(c, replicate_rng(c.master_seed, 0), "none")
         for t in range(1, 4):
@@ -179,7 +178,7 @@ class TestStep:
         assert r.trace_mean.tolist() == [sum(row) / len(row) for row in rows]
 
     def test_dynamic_reshuffles_on_schedule(self):
-        c = config(design=OrgDesign.dynamic(3, 5), agents=9)
+        c = config(design=DesignKind.DYNAMIC, silo_count=3, reshuffle_interval=5, agents=9)
         state = init_swarm(c, replicate_rng(c.master_seed, 0))
         before = state.assignment.silo_of.copy()
         for t in range(1, 5):
@@ -340,7 +339,7 @@ class TestSmallInstanceConvergence:
         # be solved by >= 95% of 100 replicates. A pure random-search oracle
         # establishes that the harness floor itself is near-certain success.
         c = config(dim=3, agents=4, max_iterations=500,
-                   design=OrgDesign.fully_networked(),
+                   design=DesignKind.FULLY_NETWORKED,
                    tendency=Tendency.REACTIVE, master_seed=2026)
         guided = sum(run_replicate(c, i).success for i in range(100))
 

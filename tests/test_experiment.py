@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orgswarm import (Arm, ConfigError, DesignKind, ExperimentSpec, OrgDesign,
-                      SimConfig, Tendency, parse_config, parse_config_dict,
+from orgswarm import (Arm, ConfigError, DesignKind, ExperimentSpec, SimConfig, Tendency,
+                      init_swarm, parse_config, parse_config_dict, replicate_rng,
                       run_experiment, serialize_spec, with_overrides)
 
 TINY = {
@@ -33,26 +33,21 @@ class TestParseConfig:
         assert len(spec.arms) == 6
         labels = [a.label for a in spec.arms]
         assert labels == sorted(labels)
-        kinds = {(a.config.design.kind, a.config.tendency) for a in spec.arms}
+        kinds = {(a.config.design, a.config.tendency) for a in spec.arms}
         assert kinds == set(itertools.product(DesignKind, Tendency))
         c = spec.arms[0].config
         assert (c.dim, c.agents, c.max_iterations, c.replicates) == (25, 20, 1000, 200)
         assert c.v_max == 4.0 and c.delta == 0.1 and c.alpha == 0.1
         assert spec.trace == "group" and spec.out_dir == "results"
 
-    def test_defaults_come_from_simconfig_and_orgdesign(self):
+    def test_defaults_come_from_simconfig(self):
         spec = parse_config_dict({"master_seed": 7})
-        designs = {DesignKind.FULLY_NETWORKED: OrgDesign.fully_networked(),
-                   DesignKind.SILOED: OrgDesign.siloed(),
-                   DesignKind.DYNAMIC: OrgDesign.dynamic()}
         for arm in spec.arms:
-            kind, tendency = arm.config.design.kind, arm.config.tendency
-            assert arm.config == SimConfig(master_seed=7, design=designs[kind],
-                                           tendency=tendency)
-        # every field is written out; arms[0] is dynamic+perceptive
-        assert set(serialize_spec(spec)["arms"][0]) == (
-            {f.name for f in fields(SimConfig)} - {"master_seed"}
-            | {"label", "silo_count", "reshuffle_interval"})
+            assert arm.config == SimConfig(master_seed=7, design=arm.config.design,
+                                           tendency=arm.config.tendency)
+        # every field is written out, on every design
+        for entry in serialize_spec(spec)["arms"]:
+            assert set(entry) == {f.name for f in fields(SimConfig)} - {"master_seed"} | {"label"}
 
     @pytest.mark.parametrize("label", ["../../escaped", "a/b", "a\\b", "a,b",
                                        "a\nb", "a\rb", "a\0b", "", ".", "..", 5,
@@ -105,13 +100,14 @@ class TestParseConfig:
                       "dim": 12, "reshuffle_interval": 3}]})
         c = spec.arms[0].config
         assert c.dim == 12
-        assert c.design.reshuffle_interval == 3
+        assert c.reshuffle_interval == 3
 
     def test_fully_networked_ignores_global_silo_count(self):
         spec = parse_config_dict({"master_seed": 1, "silo_count": 5,
                                   "arms": [{"design": "fully_networked",
                                             "tendency": "reactive"}]})
-        assert spec.arms[0].config.design.silo_count == 1
+        c = spec.arms[0].config
+        assert init_swarm(c, replicate_rng(c.master_seed, 0)).assignment.silo_count == 1
 
     def test_round_trip(self):
         spec = parse_config_dict(dict(TINY))
@@ -129,7 +125,7 @@ class TestParseConfig:
 
     def test_serialize_refuses_arms_with_different_master_seeds(self):
         # the mapping has one master_seed, so such a spec cannot round-trip
-        arms = [Arm(label, SimConfig(master_seed=seed, design=OrgDesign.fully_networked(),
+        arms = [Arm(label, SimConfig(master_seed=seed, design=DesignKind.FULLY_NETWORKED,
                                      tendency=Tendency.REACTIVE))
                 for label, seed in (("a", 1), ("b", 2))]
         with pytest.raises(ConfigError) as err:
@@ -231,7 +227,7 @@ class TestRunExperiment:
 
     def test_hand_built_spec_validated_before_anything_runs(self, tmp_path):
         good = parse_config_dict(dict(TINY)).arms[0]
-        bad = Arm("bad", SimConfig(master_seed=1, design=OrgDesign.siloed(2),
+        bad = Arm("bad", SimConfig(master_seed=1, design=DesignKind.SILOED, silo_count=2,
                                    tendency=Tendency.REACTIVE, dim=0))
         out = tmp_path / "out"
         with pytest.raises(ConfigError) as err:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, OrgDesign, SimConfig, Tendency, init_swarm,
+from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
                       parse_config_dict, pressure, replicate_rng, step)
 from orgswarm.policies import perceptive_shift, reactive_shift
 from scripted import scripted_state
@@ -57,7 +57,7 @@ class TestReactiveUpdate:
 
     def test_inertia_never_adapted(self):
         for tendency in Tendency:
-            cfg = SimConfig(master_seed=8, design=OrgDesign.siloed(2),
+            cfg = SimConfig(master_seed=8, design=DesignKind.SILOED, silo_count=2,
                             tendency=tendency, dim=12, agents=6)
             state = init_swarm(cfg, replicate_rng(cfg.master_seed, 0))
             inertia = state.inertia.copy()

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import OrgDesign, SimConfig, Tendency, init_swarm, replicate_rng, step
+from orgswarm import DesignKind, SimConfig, Tendency, init_swarm, replicate_rng, step
 from reference_step import reference_step
 
 FIELDS = ("positions", "velocities", "bests", "pbest_fitness", "fitness",
@@ -25,12 +25,12 @@ FIELDS = ("positions", "velocities", "bests", "pbest_fitness", "fitness",
 def configs(draw):
     agents = draw(st.integers(1, 24))
     silos = draw(st.integers(1, agents))
-    design = draw(st.sampled_from([
-        OrgDesign.fully_networked(), OrgDesign.siloed(silos),
-        OrgDesign.dynamic(silos, draw(st.integers(1, 7)))]))
+    reshuffle_interval = draw(st.integers(1, 7))
+    design = draw(st.sampled_from(list(DesignKind)))
     coeff_min = draw(st.sampled_from([0.0, -0.0, -0.5, -2.0]))
     return SimConfig(
-        master_seed=draw(st.integers(0, 2 ** 64 - 1)), design=design,
+        master_seed=draw(st.integers(0, 2 ** 64 - 1)), design=design, silo_count=silos,
+        reshuffle_interval=reshuffle_interval,
         tendency=draw(st.sampled_from(list(Tendency))),
         dim=draw(st.integers(1, 30)), agents=agents, max_iterations=60,
         v_max=draw(st.sampled_from([0.5, 4.0])),
@@ -55,8 +55,8 @@ def assert_same_bytes(engine, reference, t):
 
 
 def _config(**overrides):
-    base = dict(master_seed=7, design=OrgDesign.dynamic(4, 1), tendency=Tendency.REACTIVE,
-                dim=12, agents=12, max_iterations=60)
+    base = dict(master_seed=7, design=DesignKind.DYNAMIC, silo_count=4, reshuffle_interval=1,
+                tendency=Tendency.REACTIVE, dim=12, agents=12, max_iterations=60)
     return SimConfig(**{**base, **overrides})
 
 

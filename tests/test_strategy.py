@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from orgswarm import (OrgDesign, SimConfig, Tendency, fitness_many, init_swarm,
+from orgswarm import (DesignKind, SimConfig, Tendency, fitness_many, init_swarm,
                       replicate_rng, to_bitstring)
 
 
@@ -18,7 +18,7 @@ def distance(a, b):
 
 
 def swarm(agents, dim, seed):
-    config = SimConfig(master_seed=seed, design=OrgDesign.fully_networked(),
+    config = SimConfig(master_seed=seed, design=DesignKind.FULLY_NETWORKED,
                        tendency=Tendency.REACTIVE, dim=dim, agents=agents)
     config.validate()
     return init_swarm(config, replicate_rng(seed, 0))
