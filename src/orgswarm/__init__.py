@@ -8,29 +8,21 @@ package measures iterations-to-goal per agent and per group across seeded,
 reproducible replicates.
 """
 
-from .engine import (ReplicateResult, SimConfig, SwarmState, derive_replicate_seed,
-                     init_swarm, replicate_rng, run_replicate, step)
-from .errors import ConfigError, InvalidParameterError, InvariantViolation, OrgswarmError
-from .experiment import (Arm, ExperimentOutput, ExperimentSpec, parse_config,
-                         parse_config_dict, run_experiment, serialize_spec,
-                         with_overrides)
+from .engine import ReplicateResult, SimConfig, init_swarm, run_replicate, step
+from .errors import ConfigError
+from .experiment import parse_config, parse_config_dict, run_experiment
 from .kinematics import clamp_velocity, sigmoid, update_velocity
 from .policies import Tendency, pressure
-from .stats import (ArmComparison, ArmSummary, MannWhitneyResult, aggregate_arm,
-                    compare_arms, mann_whitney_u)
+from .stats import aggregate_arm, compare_arms, mann_whitney_u
 from .strategy import fitness_many, to_bitstring
-from .topology import DesignKind, SiloAssignment, build_assignment, reshuffle, silo_leaders
+from .topology import DesignKind, build_assignment, reshuffle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arm", "ArmComparison", "ArmSummary", "ConfigError", "DesignKind",
-    "ExperimentOutput", "ExperimentSpec", "InvalidParameterError",
-    "InvariantViolation", "MannWhitneyResult", "OrgswarmError",
-    "ReplicateResult", "SiloAssignment", "SimConfig", "SwarmState", "Tendency",
+    "ConfigError", "DesignKind", "ReplicateResult", "SimConfig", "Tendency",
     "aggregate_arm", "build_assignment", "clamp_velocity", "compare_arms",
-    "derive_replicate_seed", "fitness_many", "init_swarm", "mann_whitney_u",
-    "parse_config", "parse_config_dict", "pressure", "replicate_rng", "reshuffle",
-    "run_experiment", "run_replicate", "serialize_spec", "sigmoid", "silo_leaders",
-    "step", "to_bitstring", "update_velocity", "with_overrides", "__version__",
+    "fitness_many", "init_swarm", "mann_whitney_u", "parse_config",
+    "parse_config_dict", "pressure", "reshuffle", "run_experiment", "run_replicate",
+    "sigmoid", "step", "to_bitstring", "update_velocity", "__version__",
 ]

@@ -4,8 +4,7 @@
                  [--workers N] [--trace none|group|full]
     orgswarm validate --config cfg.json
 
-Exit codes: 0 success, 2 config error, 3 runtime invariant violation or a
-dead worker process, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 a worker process died, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -46,12 +45,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             spec = parse_config(args.config)
-            print(f"config OK: {len(spec.arms)} arm(s), "
-                  f"{spec.arms[0].config.replicates} replicate(s) per arm")
+            print(f"config OK: {len(spec.arms)} arm(s)")
             for arm in spec.arms:
                 c = arm.config
-                print(f"  {arm.label}: dim={c.dim} agents={c.agents} "
-                      f"max_iterations={c.max_iterations}")
+                print(f"  {arm.label}: replicates={c.replicates} dim={c.dim} "
+                      f"agents={c.agents} max_iterations={c.max_iterations}")
             return 0
 
         spec = parse_config(args.config)
@@ -70,7 +68,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except InvariantViolation as e:
+    except InvariantViolation as e:  # a dead worker process
         print(f"invariant violation: {e}", file=sys.stderr)
         return 3
     except OSError as e:

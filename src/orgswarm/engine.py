@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, InvariantViolation, is_int, is_real
+from .errors import ConfigError, InvalidParameterError, is_int, is_real
 from .kinematics import clamp_velocity, sigmoid, update_velocity
 from .policies import Tendency, perceptive_shift, reactive_shift
 from .strategy import BIT_DTYPE, fitness_many
@@ -351,10 +351,7 @@ def run_replicate(config: SimConfig, replicate_index: int,
     initial_best = int(state.fitness.min())
     initial_mean = float(state.fitness.mean())
     while state.group_convergence is None and state.t < config.max_iterations:
-        try:
-            step(state, state.t + 1)
-        except InvariantViolation as e:
-            raise InvariantViolation(f"iteration {state.t + 1}: {e}") from e
+        step(state, state.t + 1)
 
     hits = state.first_hit[state.first_hit >= 0]
     # fitness at t = 0..iterations_run, stacked once; (0, N) at trace "none"

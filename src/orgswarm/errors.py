@@ -24,7 +24,7 @@ class ConfigError(OrgswarmError, ValueError):
 
 
 class InvariantViolation(OrgswarmError, RuntimeError):
-    """An internal simulation invariant was broken (should be unreachable)."""
+    """A worker process died, so the run could not finish (CLI exit code 3)."""
 
 
 def is_int(value) -> bool:

@@ -190,13 +190,8 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
 def _run_block(config: SimConfig, start: int, trace_level: str
                ) -> list[ReplicateResult]:
     """Replicates ``start .. start + _BLOCK - 1`` of one arm, in index order."""
-    out = []
-    for i in range(start, min(start + _BLOCK, config.replicates)):
-        try:
-            out.append(run_replicate(config, i, trace_level))
-        except InvariantViolation as e:
-            raise InvariantViolation(f"replicate {i}: {e}") from e
-    return out
+    return [run_replicate(config, i, trace_level)
+            for i in range(start, min(start + _BLOCK, config.replicates))]
 
 
 _CELL = {int: "%d", float: "%.6g", str: "%s"}  # the cell rule: %-conversion by type

@@ -16,12 +16,10 @@ the functions here take them as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .errors import InvariantViolation
 
 
 class DesignKind(str, Enum):
@@ -34,69 +32,54 @@ class DesignKind(str, Enum):
 class SiloAssignment:
     """Partition of agents into silos: ``silo_of[i]`` is agent i's silo index.
 
-    Computed once, when the partition is built: ``order`` lists the agents
-    grouped by silo, ascending within each silo (a stable sort of
-    ``silo_of``), and ``starts[s]`` is where silo s begins in ``order``.
+    ``order`` is the drawn permutation, which lists the agents silo by silo,
+    and ``starts[s]`` is where silo s begins in ``order``. ``starts`` depends
+    only on the agent and silo counts, so every redraw keeps it.
     """
 
     silo_of: np.ndarray
-    silo_count: int
-    order: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
+    order: np.ndarray
+    starts: np.ndarray
 
-    def __post_init__(self):
-        self.silo_of = np.asarray(self.silo_of, dtype=np.int64)
-        sizes = self.sizes()
-        if (sizes == 0).any():
-            raise InvariantViolation("empty silo in assignment")
-        if sizes.max() - sizes.min() > 1:
-            raise InvariantViolation(f"unbalanced silo sizes {sizes.tolist()}")
-        self.order = np.argsort(self.silo_of, kind="stable")
-        self.starts = np.cumsum(sizes) - sizes
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.silo_of, minlength=self.silo_count)
-
-
-def _balanced_sizes(agent_count: int, silo_count: int) -> np.ndarray:
-    sizes = np.full(silo_count, agent_count // silo_count, dtype=np.int64)
-    sizes[: agent_count % silo_count] += 1
-    return sizes
+    @property
+    def silo_count(self) -> int:
+        return self.starts.size
 
 
 def build_assignment(design: DesignKind, silo_count: int, agent_count: int,
                      rng: np.random.Generator) -> SiloAssignment:
     """Initial silo assignment for a design (``silo_count`` in [1, agent_count]).
 
-    Fully-networked puts everyone in silo 0 without consuming randomness;
-    siloed/dynamic draw one random permutation and deal it into ``silo_count``
-    balanced silos, which makes the partition uniform over balanced partitions.
+    The agents in index order are dealt into ``silo_count`` balanced silos
+    (one silo for fully-networked, which consumes no randomness);
+    siloed/dynamic then redraw that once, which makes the partition uniform
+    over balanced partitions.
     """
     if design is DesignKind.FULLY_NETWORKED:
-        return SiloAssignment(np.zeros(agent_count, dtype=np.int64), 1)
-    return _random_partition(agent_count, silo_count, rng)
-
-
-def _random_partition(agent_count: int, silo_count: int,
-                      rng: np.random.Generator) -> SiloAssignment:
-    perm = rng.permutation(agent_count)
-    silo_of = np.empty(agent_count, dtype=np.int64)
-    silo_of[perm] = np.repeat(np.arange(silo_count),
-                              _balanced_sizes(agent_count, silo_count))
-    return SiloAssignment(silo_of, silo_count)
+        silo_count = 1
+    sizes = np.full(silo_count, agent_count // silo_count, dtype=np.int64)
+    sizes[: agent_count % silo_count] += 1
+    dealt = SiloAssignment(np.repeat(np.arange(silo_count), sizes),
+                           np.arange(agent_count), np.cumsum(sizes) - sizes)
+    return dealt if design is DesignKind.FULLY_NETWORKED else reshuffle(dealt, rng)
 
 
 def reshuffle(assignment: SiloAssignment, rng: np.random.Generator) -> SiloAssignment:
-    """Redraw the partition with identical silo count and sizes."""
-    return _random_partition(assignment.silo_of.size, assignment.silo_count, rng)
+    """Redraw the partition with identical silo count and sizes: one random
+    permutation, dealt into the same consecutive silos."""
+    order = rng.permutation(assignment.order.size)
+    silo_of = np.empty_like(assignment.silo_of)
+    silo_of[order] = assignment.silo_of[assignment.order]  # silo ids, silo by silo
+    return SiloAssignment(silo_of, order, assignment.starts)
 
 
 def silo_leaders(assignment: SiloAssignment, fitnesses: np.ndarray) -> np.ndarray:
     """Index of the fittest agent in each silo (ties -> lowest agent index).
 
     ``fitnesses`` must be integers. Each agent's key ``fitness * N + index``
-    orders by fitness first and index second, so one minimum per silo of
-    ``order`` finds the leader, and the key modulo N is its index.
+    orders by fitness first and index second, so one minimum over each
+    silo's run of ``order``, whatever the order within it, finds the leader,
+    and the key modulo N is its index.
     """
     n = assignment.silo_of.size
     order = assignment.order

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from orgswarm import (DesignKind, SimConfig, Tendency, clamp_velocity, init_swarm,
-                      mann_whitney_u, parse_config_dict, replicate_rng,
-                      run_experiment, run_replicate, step, with_overrides)
+                      mann_whitney_u, parse_config_dict, run_experiment, run_replicate,
+                      step)
+from orgswarm.engine import replicate_rng
+from orgswarm.experiment import with_overrides
 from orgswarm.stats import convergence_values
 from orgswarm.topology import build_assignment, reshuffle
 
@@ -230,7 +232,7 @@ def test_criterion_3_invariant_suite():
     shuffle_rng = np.random.default_rng(6)
     for _ in range(1000):
         assignment = reshuffle(assignment, shuffle_rng)
-        sizes = assignment.sizes()
+        sizes = np.bincount(assignment.silo_of, minlength=5)
         cases += 1
         violations += not (sizes.sum() == 20 and sizes.max() - sizes.min() <= 1)
 

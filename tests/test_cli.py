@@ -36,6 +36,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "config OK" in out and "6 arm(s)" in out
 
+    def test_each_arm_line_shows_its_replicates(self, tmp_path, capsys):
+        arms = [{"design": "siloed", "tendency": "reactive", "label": label,
+                 "replicates": n} for label, n in (("a", 3), ("b", 50))]
+        rc = main(["validate", "--config", write_config(tmp_path, {**TINY, "arms": arms})])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "config OK: 2 arm(s)"
+        assert lines[1].startswith("  a: replicates=3 ")
+        assert lines[2].startswith("  b: replicates=50 ")
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         rc = main(["validate", "--config",
                    write_config(tmp_path, {"master_seed": 1, "bogus": True})])
@@ -152,7 +162,7 @@ class TestRun:
         import orgswarm.cli as cli_mod
 
         def boom(spec):
-            raise errors.InvariantViolation("replicate 3 iteration 7: empty silo")
+            raise errors.InvariantViolation("a worker process died")
 
         monkeypatch.setattr(cli_mod, "run_experiment", boom)
         rc = main(["run", "--config", write_config(tmp_path, TINY)])

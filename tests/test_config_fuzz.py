@@ -11,7 +11,8 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orgswarm import ConfigError, ExperimentSpec, SimConfig, parse_config_dict
+from orgswarm import ConfigError, SimConfig, parse_config_dict
+from orgswarm.experiment import ExperimentSpec
 
 VALID = {
     "master_seed": [0, 7, 2**64 - 1], "design": ["siloed", "dynamic", "fully_networked"],

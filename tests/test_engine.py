@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency,
-                      derive_replicate_seed, init_swarm, parse_config_dict,
-                      replicate_rng, run_replicate, step)
+from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
+                      parse_config_dict, run_replicate, step)
+from orgswarm.engine import derive_replicate_seed, replicate_rng
 
 
 def config(**overrides):

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orgswarm import (Arm, ConfigError, DesignKind, ExperimentSpec, SimConfig, Tendency,
-                      init_swarm, parse_config, parse_config_dict, replicate_rng,
-                      run_experiment, serialize_spec, with_overrides)
+from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
+                      parse_config, parse_config_dict, run_experiment)
+from orgswarm.engine import replicate_rng
+from orgswarm.experiment import Arm, ExperimentSpec, serialize_spec, with_overrides
 
 TINY = {
     "master_seed": 20260808,

@@ -9,14 +9,22 @@ test. The matrix is tiny but covers all three designs, both tendencies,
 historical and instantaneous leaders, stochastic acceleration,
 freeze-on-goal, an explicit pressure horizon, never-converged replicates and
 every trace level; ``default_shape_full`` runs the paper's 20 x 25 swarm with
-unequal silos (7/7/6).
+unequal silos (7/7/6). The cases are also run in a subprocess with every
+SIMD target above numpy's baseline switched off, since ``sigmoid``'s
+``np.exp`` is the one operation whose bits follow the dispatch level.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import orgswarm
 from orgswarm import parse_config_dict, run_experiment
 
 TINY = {"master_seed": 20260808, "dim": 6, "agents": 4, "max_iterations": 40,
@@ -158,3 +166,33 @@ def digests(out_dir: Path) -> dict:
 def test_outputs_match_golden_digests(name, tmp_path):
     run_experiment(parse_config_dict(CASES[name]), out_dir=tmp_path)
     assert digests(tmp_path) == GOLDEN[name]
+
+
+# Runs the cases read from stdin into argv[1]/<case>, then prints which of
+# the dispatch targets named in argv[2:] numpy still uses.
+_RUN_CASES = """
+import json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from orgswarm import parse_config_dict, run_experiment
+for name, case in json.load(sys.stdin).items():
+    run_experiment(parse_config_dict(case), out_dir=Path(sys.argv[1]) / name)
+print(json.dumps([f for f in sys.argv[2:] if __cpu_features__[f]]))
+"""
+
+
+def test_golden_digests_at_baseline_simd(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    targets = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not targets:
+        pytest.skip(f"numpy {np.__version__} dispatches to nothing above its baseline here")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(orgswarm.__file__).resolve().parents[1]),
+               os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _RUN_CASES, str(tmp_path), *targets],
+                          input=json.dumps(CASES), capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [], "NPY_DISABLE_CPU_FEATURES had no effect"
+    assert {name: digests(tmp_path / name) for name in CASES} == GOLDEN

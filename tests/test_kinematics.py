@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, clamp_velocity,
-                      init_swarm, parse_config_dict, replicate_rng, sigmoid, step,
-                      update_velocity)
+                      init_swarm, parse_config_dict, sigmoid, step, update_velocity)
+from orgswarm.engine import replicate_rng
 
 
 class StubRng:

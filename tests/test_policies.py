@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
-                      parse_config_dict, pressure, replicate_rng, step)
+                      parse_config_dict, pressure, step)
+from orgswarm.engine import replicate_rng
 from orgswarm.policies import perceptive_shift, reactive_shift
 from scripted import scripted_state
 

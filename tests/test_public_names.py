@@ -1,4 +1,5 @@
-"""Names that code outside the package looks up must keep resolving.
+"""Names that code outside the package looks up must keep resolving, and
+the package root exports only such names.
 
 The demos import from ``orgswarm``; the benchmark in ``perfbench/`` wraps
 functions by ``(module, attribute)`` (``tracing.TRACED``). Both are read
@@ -8,6 +9,7 @@ from their files, so this test needs nothing from them but their text.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,15 @@ def test_traced_functions_resolve():
 def test_all_names_resolve():
     for name in orgswarm.__all__:
         assert hasattr(orgswarm, name), name
+
+
+def test_every_public_name_has_a_caller():
+    # a name counts as used when a demo, README.md or a Python or Markdown
+    # file under perfbench/ or tools/ spells it out
+    callers = [*DEMOS, ROOT / "README.md",
+               *[p for d in ("perfbench", "tools") for pattern in ("*.py", "*.md")
+                 for p in sorted((ROOT / d).glob(pattern))]]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in callers)
+    unused = [name for name in orgswarm.__all__
+              if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert unused == []

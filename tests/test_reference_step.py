@@ -14,7 +14,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import DesignKind, SimConfig, Tendency, init_swarm, replicate_rng, step
+from orgswarm import DesignKind, SimConfig, Tendency, init_swarm, step
+from orgswarm.engine import replicate_rng
 from reference_step import reference_step
 
 FIELDS = ("positions", "velocities", "bests", "pbest_fitness", "fitness",

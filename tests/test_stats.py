@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from orgswarm import (InvalidParameterError, aggregate_arm, compare_arms,
-                      mann_whitney_u, step)
+from orgswarm import aggregate_arm, compare_arms, mann_whitney_u, step
+from orgswarm.errors import InvalidParameterError
 from orgswarm.stats import _u_tail_counts, censored_values
 from scripted import scripted_state
 

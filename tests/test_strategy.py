@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from orgswarm import (DesignKind, SimConfig, Tendency, fitness_many, init_swarm,
-                      replicate_rng, to_bitstring)
+from orgswarm import DesignKind, SimConfig, Tendency, fitness_many, init_swarm, to_bitstring
+from orgswarm.engine import replicate_rng
 
 
 def bits(s):
