@@ -25,7 +25,8 @@ print(f"group converged at iteration {result.group_convergence} "
 print(f"per-agent first hits: {np.sort(result.first_hit).tolist()}")
 
 # the group-level trace: best and mean Hamming distance per iteration
-checkpoints = np.linspace(0, result.iterations_run - 1, 8, dtype=int)
+# (index t is iteration t; index 0 is the initial swarm)
+checkpoints = np.linspace(0, result.iterations_run - 1, 8, dtype=int) + 1
 print("\niteration  best  mean")
 for t in checkpoints:
-    print(f"{t + 1:9d}  {result.trace_best[t]:4d}  {result.trace_mean[t]:5.2f}")
+    print(f"{t:9d}  {result.trace_best[t]:4d}  {result.trace_mean[t]:5.2f}")

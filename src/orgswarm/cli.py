@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, InvariantViolation
-from .experiment import TRACE_LEVELS, parse_config, run_experiment, with_overrides
+from .experiment import TRACE_LEVELS, parse_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,10 +52,10 @@ def main(argv=None) -> int:
                       f"agents={c.agents} max_iterations={c.max_iterations}")
             return 0
 
-        spec = parse_config(args.config)
-        spec = with_overrides(spec, master_seed=args.seed,
-                              replicates=args.replicates, workers=args.workers,
-                              trace=args.trace, out_dir=args.out)
+        overrides = {"master_seed": args.seed, "replicates": args.replicates,
+                     "workers": args.workers, "trace": args.trace, "out_dir": args.out}
+        spec = parse_config(args.config, **{k: v for k, v in overrides.items()
+                                            if v is not None})
         output = run_experiment(spec)
         print(f"wrote {output.out_dir}/summary.csv, arms.csv, comparisons.csv"
               + (", curves/" if spec.trace != "none" else ""))

@@ -14,10 +14,12 @@ bit-for-bit on any host:
   (2, N, D) block, the same stream as two successive (N, D) draws, then the
   (N, D) binarization uniforms, row-major (agent-major, dimension order).
 
-Iteration ``t=0`` is the evaluation of the initial positions; steps run at
-``t = 1..max_iterations`` and stop early once every agent has hit the goal
-at least once (group convergence). :func:`step` owns the state; it keeps
-the neighbourhood bests until a reshuffle or an improving step (see there).
+Iteration ``t=0`` is the evaluation of the initial positions; each
+:func:`step` is one synchronous update, to ``state.t + 1``. The one loop,
+:func:`run_replicate`, steps at ``t = 1..max_iterations``, stops early once
+every agent has hit the goal at least once (group convergence), and records
+the trace rows. :func:`step` owns the state; it keeps the neighbourhood
+bests until a reshuffle or an improving step (see there).
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class SimConfig:
     """Full parameterization of one experimental arm.
 
     Each field states its default and its valid values once; :meth:`validate`
-    and the JSON config parser (:mod:`orgswarm.experiment`) derive theirs
-    from :func:`dataclasses.fields`.
+    and the JSON config parser (:mod:`orgswarm.experiment`, CLI overrides
+    included) derive theirs from :func:`dataclasses.fields`.
     """
 
     master_seed: int = _param("u64", lambda v: is_int(v) and 0 <= v < 2 ** 64)
@@ -164,16 +166,6 @@ class SwarmState:
     stale: bool = True             # bests[1] must be gathered again
     t: int = 0
     group_convergence: int | None = None
-    # fitness at t = 0..t (trace group|full); None records nothing per step
-    fitness_rows: list | None = None
-    # (silo_of, coefficients) at t = 0..t (trace full)
-    full_rows: list | None = None
-
-    def _record(self):
-        if self.fitness_rows is not None:
-            self.fitness_rows.append(self.fitness)
-        if self.full_rows is not None:
-            self.full_rows.append((self.assignment.silo_of, self.coefficients))
 
 
 @dataclass
@@ -188,9 +180,7 @@ class ReplicateResult:
     first_any_hit: int | None
     iterations_run: int
     max_iterations: int
-    initial_best: int
-    initial_mean: float
-    trace_best: np.ndarray             # (iterations_run,), t = 1..iterations_run
+    trace_best: np.ndarray             # t = 0..iterations_run; empty at trace "none"
     trace_mean: np.ndarray
     final_best_fitness: int            # min pbest fitness at termination
     # trace full: "fitness", "silo", "self_belief", "prestige_bias" at
@@ -202,15 +192,12 @@ class ReplicateResult:
         return self.group_convergence is not None
 
 
-def init_swarm(config: SimConfig, rng: np.random.Generator,
-               trace_level: str = "group") -> SwarmState:
+def init_swarm(config: SimConfig, rng: np.random.Generator) -> SwarmState:
     """Build the initial swarm state; evaluates iteration t=0.
 
     Velocities start at zero, personal bests at the initial positions.
     ``config`` must have passed :meth:`SimConfig.validate`; it is not
-    re-checked here. ``trace_level`` is one of :data:`TRACE_LEVELS`: "group"
-    keeps every iteration's fitness, "full" also each agent's silo and
-    coefficients, "none" nothing per iteration.
+    re-checked here. The state keeps no trace; :func:`run_replicate` does.
     """
     goal = rng.integers(0, 2, size=config.dim, dtype=BIT_DTYPE)
     positions = rng.integers(0, 2, size=(config.agents, config.dim), dtype=BIT_DTYPE)
@@ -236,17 +223,14 @@ def init_swarm(config: SimConfig, rng: np.random.Generator,
         first_hit=first_hit,
         unhit=np.count_nonzero(fit),
         work=np.zeros((2, *positions.shape)),
-        fitness_rows=[] if trace_level != "none" else None,
-        full_rows=[] if trace_level == "full" else None,
     )
     if state.unhit == 0:
         state.group_convergence = 0
-    state._record()
     return state
 
 
-def step(state: SwarmState, t: int) -> SwarmState:
-    """Advance the swarm by one synchronous iteration.
+def step(state: SwarmState) -> SwarmState:
+    """Advance the swarm by one synchronous iteration, to ``state.t + 1``.
 
     Order: reshuffle when due -> neighborhood bests from the previous
     iteration's memory -> velocity update, clamp, stochastic binarization ->
@@ -259,12 +243,11 @@ def step(state: SwarmState, t: int) -> SwarmState:
     clamped in place (a new array with ``freeze_on_goal``). The (2, N, D)
     ``work`` buffer holds the C1 and C2 pulls, then the binarization uniforms
     and the bit probabilities. Each step's fitness, silo and coefficient
-    arrays are new objects, never written in place, so the rows that
-    ``_record`` keeps without copying hold their values.
+    arrays are new objects, never written in place, so the trace rows that
+    :func:`run_replicate` keeps without copying hold their values.
     """
     cfg = state.config
-    if t != state.t + 1:
-        raise InvalidParameterError(f"expected iteration {state.t + 1}, got {t}")
+    t = state.t + 1
 
     if cfg.design is DesignKind.DYNAMIC and t % cfg.reshuffle_interval == 0:
         state.assignment = reshuffle(state.assignment, state.rng)
@@ -332,7 +315,6 @@ def step(state: SwarmState, t: int) -> SwarmState:
         coefficients = np.where(live, coefficients, state.coefficients)
     state.feedback_ema, state.coefficients = ema, coefficients
     state.t = t
-    state._record()
     return state
 
 
@@ -340,25 +322,31 @@ def run_replicate(config: SimConfig, replicate_index: int,
                   trace_level: str = "group") -> ReplicateResult:
     """Run one seeded replicate to group convergence or the iteration budget.
 
-    ``config`` must have passed :meth:`SimConfig.validate`. At trace level
-    "none" the result's ``trace_best``/``trace_mean`` are empty.
+    ``config`` must have passed :meth:`SimConfig.validate`. ``trace_level``
+    "group" keeps every iteration's fitness, "full" also each agent's silo
+    and coefficients; at "none" ``trace_best``/``trace_mean`` are empty.
     """
     if trace_level not in TRACE_LEVELS:
         raise InvalidParameterError(f"trace_level must be none|group|full, got {trace_level}")
     seed = derive_replicate_seed(config.master_seed, replicate_index)
-    state = init_swarm(config, replicate_rng(config.master_seed, replicate_index),
-                       trace_level)
-    initial_best = int(state.fitness.min())
-    initial_mean = float(state.fitness.mean())
-    while state.group_convergence is None and state.t < config.max_iterations:
-        step(state, state.t + 1)
+    state = init_swarm(config, replicate_rng(config.master_seed, replicate_index))
+    # at t = 0..t: fitness (trace group|full), (silo_of, coefficients) (full)
+    fitness_rows, full_rows = [], []
+    while True:
+        if trace_level != "none":
+            fitness_rows.append(state.fitness)
+            if trace_level == "full":
+                full_rows.append((state.assignment.silo_of, state.coefficients))
+        if state.group_convergence is not None or state.t >= config.max_iterations:
+            break
+        step(state)
 
     hits = state.first_hit[state.first_hit >= 0]
     # fitness at t = 0..iterations_run, stacked once; (0, N) at trace "none"
-    fitness = np.array(state.fitness_rows or (), dtype=np.int64).reshape(-1, config.agents)
+    fitness = np.array(fitness_rows, dtype=np.int64).reshape(-1, config.agents)
     full = None
-    if state.full_rows is not None:
-        silo, coefficients = (np.array(column) for column in zip(*state.full_rows))
+    if full_rows:
+        silo, coefficients = (np.array(column) for column in zip(*full_rows))
         full = {"fitness": fitness, "silo": silo, "inertia": state.inertia,
                 "self_belief": coefficients[:, 0], "prestige_bias": coefficients[:, 1]}
     return ReplicateResult(
@@ -370,10 +358,8 @@ def run_replicate(config: SimConfig, replicate_index: int,
         first_any_hit=int(hits.min()) if hits.size else None,
         iterations_run=state.t,
         max_iterations=config.max_iterations,
-        initial_best=initial_best,
-        initial_mean=initial_mean,
-        trace_best=fitness[1:].min(axis=1),
-        trace_mean=fitness[1:].mean(axis=1),
+        trace_best=fitness.min(axis=1),
+        trace_mean=fitness.mean(axis=1),
         final_best_fitness=int(state.pbest_fitness.min()),
         full_trace=full,
     )

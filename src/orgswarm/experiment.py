@@ -29,7 +29,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,15 +98,18 @@ def _check_workers(workers) -> int | None:
     return workers
 
 
-def parse_config_dict(data: dict) -> ExperimentSpec:
-    """Build and validate an :class:`ExperimentSpec` from a config mapping."""
+def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
+    """Build and validate an :class:`ExperimentSpec` from a config mapping;
+    ``overrides`` (top-level keys, as from the CLI's flags) are laid over its
+    values and every arm's after its key checks, and checked like them."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
+    unknown = sorted((data.keys() | overrides.keys()) - _TOP_LEVEL_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}", fields=unknown)
     if "master_seed" not in data:
         raise ConfigError("missing required field master_seed", fields=["master_seed"])
+    data = {**data, **overrides}
     trace = _check_trace(data.get("trace", ExperimentSpec.trace))
     workers = _check_workers(data.get("workers", ExperimentSpec.workers))
     out_dir = data.get("out_dir", ExperimentSpec.out_dir)
@@ -124,6 +127,7 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
         raise ConfigError("arms must be a non-empty list", fields=["arms"])
 
     shared = {k: v for k, v in data.items() if k in _PARAMS}
+    pinned = {k: v for k, v in overrides.items() if k in _PARAMS}  # outrank each arm's
     arms: list[Arm] = []
     for i, entry in enumerate(arm_entries):
         if not isinstance(entry, dict):
@@ -135,7 +139,7 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
         for required in ("design", "tendency"):
             if required not in entry:
                 raise ConfigError(f"arm {i}: missing {required}", fields=[required])
-        params = {**shared, **entry}
+        params = {**shared, **entry, **pinned}
         design = _choice(DesignKind, "design", entry["design"])
         tendency = _choice(Tendency, "tendency", entry["tendency"])
         label = _check_label(entry.get("label", f"{design.value}+{tendency.value}"))
@@ -154,13 +158,13 @@ def parse_config_dict(data: dict) -> ExperimentSpec:
     return ExperimentSpec(arms=arms, out_dir=out_dir, trace=trace, workers=workers)
 
 
-def parse_config(path) -> ExperimentSpec:
+def parse_config(path, **overrides) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
-    return parse_config_dict(data)
+    return parse_config_dict(data, **overrides)
 
 
 def serialize_spec(spec: ExperimentSpec) -> dict:
@@ -256,8 +260,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
             if trace_level == "full":
                 _write_traces(out / "traces" / arm.label, results[arm.label])
 
-    summaries = [aggregate_arm(results[label], label, curves=trace_level != "none")
-                 for label in results]
+    summaries = [aggregate_arm(results[label], label) for label in results]
     comparisons = [(sa, sb, *_compare_pair(results[sa], results[sb]))
                    for sa, sb in itertools.combinations(results, 2)]
 
@@ -342,8 +345,7 @@ def _write_traces(trace_dir: Path, arm_results: list[ReplicateResult]) -> None:
     for r in arm_results:
         ft = r.full_trace
         fmt = f"{before_w},{w_cells % tuple(ft['inertia'].tolist())},{after_w}"
-        columns = zip(itertools.count(), [r.initial_best, *r.trace_best.tolist()],
-                      [r.initial_mean, *r.trace_mean.tolist()],
+        columns = zip(itertools.count(), r.trace_best.tolist(), r.trace_mean.tolist(),
                       np.hstack([ft["fitness"], ft["silo"]]),
                       np.hstack([ft["self_belief"], ft["prestige_bias"]]))
         _write_csv(trace_dir / f"replicate_{r.replicate_index}.csv", header, fmt,
@@ -352,25 +354,3 @@ def _write_traces(trace_dir: Path, arm_results: list[ReplicateResult]) -> None:
                    comment=f"goal={to_bitstring(r.goal)}")
         r.full_trace = None
 
-
-def with_overrides(spec: ExperimentSpec, master_seed: int | None = None,
-                   replicates: int | None = None, workers: int | None = None,
-                   trace: str | None = None, out_dir: str | None = None
-                   ) -> ExperimentSpec:
-    """CLI-style overrides applied to every arm (returns a new spec)."""
-    arms = spec.arms
-    if master_seed is not None or replicates is not None:
-        changes = {}
-        if master_seed is not None:
-            changes["master_seed"] = master_seed
-        if replicates is not None:
-            changes["replicates"] = replicates
-        arms = [Arm(arm.label, replace(arm.config, **changes)) for arm in spec.arms]
-        for arm in arms:
-            arm.config.validate()
-    return ExperimentSpec(
-        arms=arms,
-        out_dir=out_dir if out_dir is not None else spec.out_dir,
-        trace=_check_trace(trace) if trace is not None else spec.trace,
-        workers=_check_workers(workers) if workers is not None else spec.workers,
-    )

@@ -50,37 +50,34 @@ def censored_values(results: list[ReplicateResult]) -> list[int]:
 
 
 def _padded_curves(results: list[ReplicateResult]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over replicates at t = 1..horizon; a replicate that stopped early
+    (at t = 0 too) carries its last value on."""
     horizon = max(r.max_iterations for r in results)
     best = np.empty((len(results), horizon))
     mean = np.empty((len(results), horizon))
+    steps = np.arange(1, horizon + 1)
     for i, r in enumerate(results):
-        nb = r.trace_best.size
-        if nb:
-            best[i, :nb] = r.trace_best
-            mean[i, :nb] = r.trace_mean
-            best[i, nb:] = r.trace_best[-1]
-            mean[i, nb:] = r.trace_mean[-1]
-        else:
-            best[i, :] = r.initial_best
-            mean[i, :] = r.initial_mean
+        t = np.minimum(steps, r.trace_best.size - 1)
+        best[i] = r.trace_best[t]
+        mean[i] = r.trace_mean[t]
     return best.mean(axis=0), mean.mean(axis=0)
 
 
-def aggregate_arm(results: list[ReplicateResult], label: str,
-                  curves: bool = True) -> ArmSummary:
+def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
     """Summarize an arm's replicates.
 
     Never-converged replicates are excluded from the central-tendency
     statistics and surface only in the success rate. Medians use the
     midpoint rule for even counts; the IQR uses linear interpolation.
-    ``curves=False`` (replicates run at trace "none", which records no
-    per-iteration fitness) leaves both curves empty.
+    Replicates run at trace "none" carry no per-iteration fitness, and
+    leave both curves empty.
     """
     if not results:
         raise InvalidParameterError("aggregate_arm needs at least one result")
     conv = convergence_values(results)
     hits = [r.first_any_hit for r in results if r.first_any_hit is not None]
-    curve_best, curve_mean = (_padded_curves(results) if curves
+    curve_best, curve_mean = (_padded_curves(results)
+                              if all(r.trace_best.size for r in results)
                               else (np.empty(0), np.empty(0)))
     nan = float("nan")
     return ArmSummary(

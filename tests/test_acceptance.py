@@ -17,7 +17,6 @@ from orgswarm import (DesignKind, SimConfig, Tendency, clamp_velocity, init_swar
                       mann_whitney_u, parse_config_dict, run_experiment, run_replicate,
                       step)
 from orgswarm.engine import replicate_rng
-from orgswarm.experiment import with_overrides
 from orgswarm.stats import convergence_values
 from orgswarm.topology import build_assignment, reshuffle
 
@@ -54,14 +53,13 @@ def median(values):
 def test_criterion_1_determinism_and_schedule_independence(tmp_path):
     cfg = {"master_seed": 99, "dim": 8, "agents": 6, "max_iterations": 50,
            "replicates": 6, "silo_count": 2}
-    spec = parse_config_dict(cfg)
     files = ("summary.csv", "arms.csv", "comparisons.csv")
 
-    run_experiment(with_overrides(spec, workers=1), out_dir=tmp_path / "r1")
+    run_experiment(parse_config_dict(cfg, workers=1), out_dir=tmp_path / "r1")
     overheads = []
     for name, workers in (("r2", 1), ("w1", 1), ("w8", 8)):
         start = time.perf_counter()
-        run_experiment(with_overrides(spec, workers=workers),
+        run_experiment(parse_config_dict(cfg, workers=workers),
                        out_dir=tmp_path / name)
         overheads.append(time.perf_counter() - start)
 
@@ -169,8 +167,8 @@ def test_criterion_2_kinematics_oracle():
         "prestige_bias": state.coefficients[1].tolist(),
     }
     engine_states = []
-    for t in range(1, 6):
-        step(state, t)
+    for _ in range(5):
+        step(state)
         engine_states.append((state.positions.copy(), state.velocities.copy()))
 
     oracle_states = brute_force_states(snapshot, rng.uniforms, 5, config.delta,
@@ -245,8 +243,8 @@ def test_criterion_3_invariant_suite():
         st = init_swarm(cfg, replicate_rng(cfg.master_seed, rep))
         prev_pbest = st.pbest_fitness.copy()
         prev_gbest = prev_pbest.min()
-        for t in range(1, 61):
-            step(st, t)
+        for _ in range(60):
+            step(st)
             cases += cfg.agents
             violations += int((st.pbest_fitness > prev_pbest).sum())
             gbest = st.pbest_fitness.min()

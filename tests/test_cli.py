@@ -80,6 +80,17 @@ class TestRun:
         assert len(rows_b) == 1 + 6 * 3
         assert rows_a[1] != rows_b[1]
 
+    def test_empty_out_flag_exit_2(self, tmp_path, monkeypatch, capsys):
+        # checked like "out_dir": "" in the config: an empty --out would
+        # write the run's files into the current directory
+        cfg = write_config(tmp_path, TINY)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", "--config", cfg, "--out", ""]) == 2
+        assert "out_dir" in capsys.readouterr().err
+        assert not any(cwd.iterdir())
+
     def test_trace_override_none(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
         out_dir = tmp_path / "quiet"

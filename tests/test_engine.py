@@ -115,19 +115,13 @@ class TestInitSwarm:
 
 
 class TestStep:
-    def test_steps_must_be_sequential(self):
-        c = config()
-        state = init_swarm(c, replicate_rng(c.master_seed, 0))
-        with pytest.raises(Exception):
-            step(state, 5)
-
     def test_determinism(self):
         c = config()
         a = init_swarm(c, replicate_rng(c.master_seed, 2))
         b = init_swarm(c, replicate_rng(c.master_seed, 2))
-        for t in range(1, 21):
-            step(a, t)
-            step(b, t)
+        for _ in range(20):
+            step(a)
+            step(b)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
         assert np.array_equal(a.first_hit, b.first_hit)
@@ -136,8 +130,8 @@ class TestStep:
         c = config(dim=10, agents=8)
         state = init_swarm(c, replicate_rng(c.master_seed, 4))
         prev = state.pbest_fitness.copy()
-        for t in range(1, 61):
-            step(state, t)
+        for _ in range(60):
+            step(state)
             assert (state.pbest_fitness <= prev).all()
             expected = (state.bests[0] != state.goal).sum(axis=1)
             assert np.array_equal(state.pbest_fitness, expected)
@@ -149,12 +143,12 @@ class TestStep:
         # (the bit rows it allocates are 1 byte per element).
         c = config(dim=200, agents=200, design=DesignKind.SILOED, silo_count=20,
                    stochastic_acceleration=True, gbest_mode="instantaneous")
-        state = init_swarm(c, replicate_rng(c.master_seed, 0), "none")
-        for t in range(1, 4):
-            step(state, t)
+        state = init_swarm(c, replicate_rng(c.master_seed, 0))
+        for _ in range(3):
+            step(state)
         tracemalloc.start()
         try:
-            step(state, 4)
+            step(state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -163,17 +157,17 @@ class TestStep:
     def test_velocities_respect_clamp(self):
         c = config(v_max=2.5)
         state = init_swarm(c, replicate_rng(c.master_seed, 0))
-        for t in range(1, 41):
-            step(state, t)
+        for _ in range(40):
+            step(state)
             assert (np.abs(state.velocities) <= 2.5).all()
 
     def test_trace_best_le_mean(self):
         c = config(max_iterations=40)
         r = run_replicate(c, 5, "full")
-        assert r.trace_best.size == r.iterations_run > 0
+        assert r.trace_best.size == r.iterations_run + 1 > 1
         assert all(b <= m + 1e-12 for b, m in zip(r.trace_best, r.trace_mean))
-        # both are read off the per-agent fitness at t = 1..iterations_run
-        rows = r.full_trace["fitness"][1:].tolist()
+        # both are read off the per-agent fitness at t = 0..iterations_run
+        rows = r.full_trace["fitness"].tolist()
         assert r.trace_best.tolist() == [min(row) for row in rows]
         assert r.trace_mean.tolist() == [sum(row) / len(row) for row in rows]
 
@@ -181,10 +175,10 @@ class TestStep:
         c = config(design=DesignKind.DYNAMIC, silo_count=3, reshuffle_interval=5, agents=9)
         state = init_swarm(c, replicate_rng(c.master_seed, 0))
         before = state.assignment.silo_of.copy()
-        for t in range(1, 5):
-            step(state, t)
+        for _ in range(4):
+            step(state)
             assert np.array_equal(state.assignment.silo_of, before)
-        step(state, 5)
+        step(state)
         # a reshuffle happened at t=5 (new draw; equality would be a fluke)
         assert not np.array_equal(state.assignment.silo_of, before)
 
@@ -219,7 +213,7 @@ class TestRunReplicate:
         c = config(dim=2, agents=4, max_iterations=10)
         for i in range(20):
             r = run_replicate(c, i)
-            if r.initial_best == 0:
+            if r.trace_best[0] == 0:
                 assert (r.first_hit == 0).any()
                 assert r.first_any_hit == 0
                 return
@@ -228,8 +222,8 @@ class TestRunReplicate:
     def test_trace_length_matches_iterations_run(self):
         c = config(max_iterations=30)
         r = run_replicate(c, 1)
-        assert r.trace_best.size == r.iterations_run
-        assert r.trace_mean.size == r.iterations_run
+        assert r.trace_best.size == r.iterations_run + 1
+        assert r.trace_mean.size == r.iterations_run + 1
 
     def test_trace_none_records_nothing_per_step(self):
         c = config(dim=20, agents=10, max_iterations=99)
@@ -237,9 +231,9 @@ class TestRunReplicate:
         assert r.iterations_run > 0
         assert r.trace_best.size == 0 and r.trace_mean.size == 0
         g = run_replicate(c, 0, "group")
-        assert g.trace_best.size == g.trace_mean.size == r.iterations_run
-        assert (r.group_convergence, r.final_best_fitness, r.initial_best) == (
-            g.group_convergence, g.final_best_fitness, g.initial_best)
+        assert g.trace_best.size == g.trace_mean.size == r.iterations_run + 1
+        assert (r.group_convergence, r.final_best_fitness) == (
+            g.group_convergence, g.final_best_fitness)
         assert np.array_equal(r.first_hit, g.first_hit)
 
     def test_never_converged_flagged(self):
@@ -276,7 +270,7 @@ class TestRunReplicate:
             s.fitness = (s.positions != s.goal).sum(axis=1)      # [1, 4]
             s.pbest_fitness = (s.bests[0] != s.goal).sum(axis=1)  # [3, 2]
             s.velocities[:] = 0.0
-            step(s, 1)
+            step(s)
             states[mode] = s.velocities.copy()
         # agent 1's reference: historical -> its own pbest (fitness 2);
         # instantaneous -> agent 0's position (fitness 1); different pulls.
@@ -304,7 +298,7 @@ class TestRunReplicate:
         s.velocities[:] = 0.0
         s.first_hit[:] = 0
         s.group_convergence = 0
-        step(s, 1)
+        step(s)
         assert (s.pbest_fitness == 0).all()
         assert np.array_equal(s.bests[0], np.tile(s.goal, (5, 1)))
         # positions do not freeze: over 50 bits, some flips are near-certain
@@ -316,7 +310,7 @@ class TestRunReplicate:
         state = init_swarm(c, seed_rng)
         frozen_positions = {}
         for t in range(1, c.max_iterations + 1):
-            step(state, t)
+            step(state)
             for i in range(c.agents):
                 if state.first_hit[i] >= 0 and state.first_hit[i] < t:
                     if i in frozen_positions:

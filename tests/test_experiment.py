@@ -1,15 +1,19 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orgswarm
 from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
                       parse_config, parse_config_dict, run_experiment)
 from orgswarm.engine import replicate_rng
-from orgswarm.experiment import Arm, ExperimentSpec, serialize_spec, with_overrides
+from orgswarm.experiment import Arm, ExperimentSpec, serialize_spec
 
 TINY = {
     "master_seed": 20260808,
@@ -148,14 +152,18 @@ class TestParseConfig:
             parse_config(bad)
 
     def test_with_overrides(self):
-        spec = parse_config_dict(dict(TINY))
-        out = with_overrides(spec, master_seed=99, replicates=2, workers=3,
-                             trace="none", out_dir="elsewhere")
+        data = dict(TINY)
+        out = parse_config_dict(data, master_seed=99, replicates=2, workers=3,
+                                trace="none", out_dir="elsewhere")
         assert all(a.config.master_seed == 99 for a in out.arms)
         assert all(a.config.replicates == 2 for a in out.arms)
         assert (out.workers, out.trace, out.out_dir) == (3, "none", "elsewhere")
         # original untouched
-        assert spec.arms[0].config.master_seed == TINY["master_seed"]
+        assert data == TINY
+        # an arm's own replicates give way too
+        arms = [{"design": "siloed", "tendency": "reactive", "replicates": 7}]
+        out = parse_config_dict({**TINY, "arms": arms}, replicates=2)
+        assert out.arms[0].config.replicates == 2
 
     @pytest.mark.parametrize("override,field", [
         ({"workers": 0}, "workers"), ({"workers": -1}, "workers"),
@@ -163,9 +171,8 @@ class TestParseConfig:
         ({"master_seed": -1}, "master_seed"), ({"replicates": 0}, "replicates"),
     ])
     def test_with_overrides_checked_like_config(self, override, field):
-        spec = parse_config_dict(dict(TINY))
         with pytest.raises(ConfigError) as err:
-            with_overrides(spec, **override)
+            parse_config_dict(dict(TINY), **override)
         assert err.value.fields == [field]
         key, value = next(iter(override.items()))
         if key in ("workers", "trace"):
@@ -279,6 +286,29 @@ class TestDeterminism:
         assert len(outputs[1]) == 4 + 6 + 6 * 27
         assert outputs[1] == outputs[2]
 
+    def test_every_file_independent_of_start_method(self, tmp_path):
+        # The pool takes Python's default start method, which differs across
+        # platforms and Python versions; workers must write the same bytes
+        # whether they are forked or started fresh.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TINY, "replicates": 27, "trace": "full"}),
+                          encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(orgswarm.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]))}
+        outputs = {}
+        for method in ("fork", "spawn", "forkserver"):
+            out = tmp_path / method
+            proc = subprocess.run(
+                [sys.executable, "-c", _RUN_WITH_START_METHOD, method, str(config), str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs[method] = {p.relative_to(out): p.read_bytes()
+                               for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(outputs["fork"]) == 4 + 6 + 6 * 27
+        assert outputs["spawn"] == outputs["fork"]
+        assert outputs["forkserver"] == outputs["fork"]
+
     def test_every_file_independent_of_arm_order(self, tmp_path):
         # Parsed specs are sorted by label; a hand-built one may not be.
         spec = parse_config_dict({**TINY, "replicates": 2, "trace": "full"})
@@ -293,6 +323,14 @@ class TestDeterminism:
         arm_column = [line.split(",")[0] for line in
                       outputs[1][Path("summary.csv")].decode().splitlines()[1:]]
         assert arm_column == sorted(arm_column)
+
+
+_RUN_WITH_START_METHOD = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from orgswarm.cli import main
+sys.exit(main(["run", "--config", sys.argv[2], "--out", sys.argv[3], "--workers", "2"]))
+"""
 
 
 class TestTraceLevels:

@@ -39,7 +39,7 @@ def engine_position_update(position, velocity, draws=None, seed=1):
     state.velocities = np.asarray(velocity, dtype=float).reshape(rows.shape).copy()
     if draws is not None:
         state.rng = StubRng(draws)
-    step(state, 1)
+    step(state)
     return state.positions.reshape(position.shape)
 
 
@@ -225,6 +225,6 @@ class TestFullStepAgainstHandEvaluator:
         state.velocities = np.array([[0.0] * 3, v])
         state.inertia[1], state.coefficients[:, 1] = w, (c1, c2)
         state.rng = StubRng([0.5] * 3 + draws)
-        step(state, 1)
+        step(state)
         assert np.allclose(state.velocities[1], expected_v, atol=1e-12)
         assert state.positions[1].tolist() == expected_bits

@@ -25,8 +25,8 @@ class TestFeedbackSignal:
         perceptive = scripted_state([[prev, new]], tendency=Tendency.PERCEPTIVE,
                                     alpha=1.0)
         reactive = scripted_state([[prev, new]], self_belief_init=(1.0, 1.5))
-        step(perceptive, 1)
-        step(reactive, 1)
+        step(perceptive)
+        step(reactive)
         assert perceptive.feedback_ema[0] == expected
         assert reactive.coefficients[0, 0] == pytest.approx(1.0 + 0.1 * np.sign(expected))
 
@@ -63,8 +63,8 @@ class TestReactiveUpdate:
             state = init_swarm(cfg, replicate_rng(cfg.master_seed, 0))
             inertia = state.inertia.copy()
             self_belief = state.coefficients[0].copy()
-            for t in range(1, 31):
-                step(state, t)
+            for _ in range(30):
+                step(state)
             assert np.array_equal(state.inertia, inertia)
             assert not np.array_equal(state.coefficients[0], self_belief)
 

@@ -3,13 +3,17 @@ the package root exports only such names.
 
 The demos import from ``orgswarm``; the benchmark in ``perfbench/`` wraps
 functions by ``(module, attribute)`` (``tracing.TRACED``). Both are read
-from their files, so this test needs nothing from them but their text.
+from their files, so these tests need nothing from them but their text, and
+one traced run through ``perfbench/child.py``.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,15 +38,41 @@ def test_demo_imports_resolve(demo):
                 assert hasattr(module, alias.name), f"{demo.name}: {alias.name}"
 
 
-def test_traced_functions_resolve():
+def _tracing():
     path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_resolve():
+    tracing = _tracing()
     assert tracing.TRACED
     for module_name, attr, _ in tracing.TRACED:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             f"{module_name}.{attr}"
+
+
+def test_traced_run_spans_every_step_and_replicate(tmp_path):
+    # The benchmark's traced run checks its counts against the outputs: one
+    # engine.step span per replicate-iteration and one engine.run_replicate
+    # span per replicate, pool workers included (6 arms x 30 replicates).
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"master_seed": 5, "dim": 8, "agents": 6,
+                                  "max_iterations": 60, "replicates": 30,
+                                  "silo_count": 2}), encoding="utf-8")
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(result), "--trace",
+         "--", "run", "--config", str(config), "--out", str(tmp_path / "out"),
+         "--workers", "2"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(result.read_text(encoding="utf-8"))
+    assert record["rc"] == 0, proc.stderr
+    metrics, replicate_s = _tracing().layer_metrics(record["spans"], workers=2)
+    assert metrics["engine.step.calls"] == record["rep_iters"] > 0
+    assert len(replicate_s) == 6 * 30
 
 
 def test_all_names_resolve():

@@ -79,11 +79,11 @@ def _config(**overrides):
 def test_step_matches_reference_step(config, replicate):
     config.validate()
     engine = init_swarm(config, replicate_rng(config.master_seed, replicate))
-    reference = init_swarm(config, replicate_rng(config.master_seed, replicate), "none")
+    reference = init_swarm(config, replicate_rng(config.master_seed, replicate))
     assert_same_bytes(engine, reference, 0)
     for t in range(1, config.max_iterations + 1):
-        step(engine, t)
-        reference_step(reference, t)
+        step(engine)
+        reference_step(reference)
         assert_same_bytes(engine, reference, t)
         if engine.group_convergence is not None:
             break

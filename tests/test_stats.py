@@ -54,8 +54,8 @@ def engine_first_hit(fitness_trace):
     """The first hit the engine records for one agent whose fitness at
     iterations 0, 1, ... follows ``fitness_trace`` (None when it never hits)."""
     state = scripted_state([fitness_trace])
-    for t in range(1, len(fitness_trace)):
-        step(state, t)
+    for _ in fitness_trace[1:]:
+        step(state)
     hit = int(state.first_hit[0])
     return hit if hit >= 0 else None
 
@@ -81,10 +81,9 @@ class FakeResult:
     group_convergence: int | None
     first_any_hit: int | None = 1
     max_iterations: int = 100
-    initial_best: int = 5
-    initial_mean: float = 8.0
-    trace_best: np.ndarray = field(default_factory=lambda: np.array([3, 1, 0]))
-    trace_mean: np.ndarray = field(default_factory=lambda: np.array([6.0, 4.0, 2.0]))
+    # t = 0..iterations_run
+    trace_best: np.ndarray = field(default_factory=lambda: np.array([5, 3, 1, 0]))
+    trace_mean: np.ndarray = field(default_factory=lambda: np.array([8.0, 6.0, 4.0, 2.0]))
 
 
 class TestAggregateArm:
@@ -118,9 +117,16 @@ class TestAggregateArm:
         s = aggregate_arm([r], "arm")
         assert s.curve_best.size == 6
         assert s.curve_best[-1] == r.trace_best[-1]
+        assert s.curve_best.tolist() == [3, 1, 0, 0, 0, 0]  # t = 1..6
+        # converged at t = 0: its t = 0 values fill the whole curve
+        at_start = FakeResult(0, max_iterations=6, trace_best=np.array([0]),
+                              trace_mean=np.array([3.0]))
+        s = aggregate_arm([at_start], "arm")
+        assert s.curve_best.tolist() == [0] * 6 and s.curve_mean.tolist() == [3.0] * 6
 
     def test_no_curves_without_per_step_trace(self):
-        s = aggregate_arm([FakeResult(3), FakeResult(None)], "arm", curves=False)
+        untraced = dict(trace_best=np.empty(0), trace_mean=np.empty(0))
+        s = aggregate_arm([FakeResult(3, **untraced), FakeResult(None, **untraced)], "arm")
         assert s.curve_best.size == 0 and s.curve_mean.size == 0
         assert s.successes == 1
 
