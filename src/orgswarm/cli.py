@@ -23,17 +23,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "strategy space under organizational communication designs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment grid")
+    # flags left out are absent from the namespace; each dest is a config key
+    run_p = sub.add_parser("run", help="run an experiment grid",
+                           argument_default=argparse.SUPPRESS)
     run_p.add_argument("--config", required=True, help="path to JSON config")
-    run_p.add_argument("--out", default=None, help="output directory (overrides config)")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory override")
+    run_p.add_argument("--seed", dest="master_seed", metavar="U64", type=int,
                        help="master seed override (u64)")
-    run_p.add_argument("--replicates", type=int, default=None,
-                       help="replicates per arm override")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="worker process count")
-    run_p.add_argument("--trace", choices=TRACE_LEVELS, default=None,
-                       help="trace verbosity override")
+    run_p.add_argument("--replicates", type=int, help="replicates per arm override")
+    run_p.add_argument("--workers", type=int, help="worker process count")
+    run_p.add_argument("--trace", help=f"trace verbosity override: {'|'.join(TRACE_LEVELS)}")
 
     val_p = sub.add_parser("validate", help="parse and validate a config")
     val_p.add_argument("--config", required=True, help="path to JSON config")
@@ -52,10 +51,8 @@ def main(argv=None) -> int:
                       f"agents={c.agents} max_iterations={c.max_iterations}")
             return 0
 
-        overrides = {"master_seed": args.seed, "replicates": args.replicates,
-                     "workers": args.workers, "trace": args.trace, "out_dir": args.out}
-        spec = parse_config(args.config, **{k: v for k, v in overrides.items()
-                                            if v is not None})
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        spec = parse_config(args.config, **overrides)
         output = run_experiment(spec)
         print(f"wrote {output.out_dir}/summary.csv, arms.csv, comparisons.csv"
               + (", curves/" if spec.trace != "none" else ""))

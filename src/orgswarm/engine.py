@@ -58,9 +58,16 @@ def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator
 
 
 def _param(need: str, ok, default=MISSING):
-    """A :class:`SimConfig` field whose valid values satisfy ``ok``; ``need``
-    describes them in error messages."""
+    """A config field (of :class:`SimConfig`, ``ExperimentSpec`` or ``Arm``)
+    whose valid values satisfy ``ok``; ``need`` describes them in messages."""
     return field(default=default, metadata={"need": need, "ok": ok})
+
+
+def invalid_fields(obj) -> dict[str, str]:
+    """``{field: message}`` for each :func:`_param` field of ``obj`` that fails."""
+    return {f.name: f"{f.name} ({f.metadata['need']} required, got {getattr(obj, f.name)!r})"
+            for f in fields(obj)
+            if "ok" in f.metadata and not f.metadata["ok"](getattr(obj, f.name))}
 
 
 def _count(default):
@@ -121,9 +128,7 @@ class SimConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming every offending field."""
-        bad = {f.name: f"{f.name} ({f.metadata['need']} required, "
-                       f"got {getattr(self, f.name)!r})"
-               for f in fields(self) if not f.metadata["ok"](getattr(self, f.name))}
+        bad = invalid_fields(self)
         lo, hi = self.coeff_min, self.coeff_max
         if not bad.keys() & {"coeff_min", "coeff_max"}:
             if lo > hi:

@@ -2,7 +2,8 @@
 
 A config is a single strict JSON document (unknown keys are rejected). Only
 ``master_seed`` is required; everything else defaults. Without an ``arms``
-list the standard 3 designs x 2 tendencies grid is expanded.
+list the standard 3 designs x 2 tendencies grid is expanded. One check,
+:meth:`ExperimentSpec.validate`, serves the parser and ``run_experiment``.
 
 Each arm runs as the same blocks of 25 replicates at every worker count,
 through ``map`` at one worker and a process pool's ``map`` otherwise; an
@@ -34,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import TRACE_LEVELS, ReplicateResult, SimConfig, run_replicate
+from .engine import (TRACE_LEVELS, ReplicateResult, SimConfig, _param, invalid_fields,
+                     run_replicate)
 from .errors import ConfigError, InvariantViolation, is_int
 from .policies import Tendency
 from .stats import (ArmComparison, ArmSummary, aggregate_arm, censored_values,
@@ -42,27 +44,54 @@ from .stats import (ArmComparison, ArmSummary, aggregate_arm, censored_values,
 from .strategy import to_bitstring
 from .topology import DesignKind
 
-# SimConfig fields a config sets globally or per arm; absent ones keep the
-# SimConfig default.
-_PARAMS = tuple(f.name for f in fields(SimConfig) if f.default is not MISSING)
-_TOP_LEVEL_KEYS = {*_PARAMS, "master_seed", "out_dir", "trace", "workers", "arms"}
-_ARM_KEYS = {*_PARAMS, "design", "tendency", "label"}
-_LABEL_FORBIDDEN = "/\\,\n\r\0"
 _BLOCK = 25  # replicates per block
 
 
 @dataclass
 class Arm:
-    label: str
+    """One design x tendency arm; its label names CSV cells and output paths."""
+
+    label: str = _param("non-empty string other than '.' or '..' without '/', '\\', ',', "
+                        "a line break or NUL",
+                        lambda v: isinstance(v, str) and v not in ("", ".", "..")
+                        and not any(c in v for c in "/\\,\n\r\0"))
     config: SimConfig
 
 
 @dataclass
 class ExperimentSpec:
+    """The arms of an experiment and where and how to write them; both
+    :func:`parse_config_dict` and :func:`run_experiment` :meth:`validate` it."""
+
     arms: list[Arm]
-    out_dir: str = "results"
-    trace: str = "group"
-    workers: int | None = None
+    out_dir: str = _param("non-empty string", lambda v: isinstance(v, str) and v != "",
+                          "results")
+    trace: str = _param(f"one of {TRACE_LEVELS}", lambda v: v in TRACE_LEVELS, "group")
+    workers: int | None = _param("integer >= 1 or null",
+                                 lambda v: v is None or (is_int(v) and v >= 1), None)
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` for the first of: bad top-level fields;
+        the first arm with a bad label or config; no arms or duplicate labels."""
+        bad = invalid_fields(self)
+        if bad:
+            raise ConfigError("invalid config: " + "; ".join(bad.values()), fields=list(bad))
+        for i, arm in enumerate(self.arms):
+            bad = invalid_fields(arm)
+            if bad:
+                raise ConfigError(f"arm {i}: " + "; ".join(bad.values()), fields=list(bad))
+            arm.config.validate()
+        labels = [arm.label for arm in self.arms]
+        if not labels or len(set(labels)) < len(labels):
+            raise ConfigError(f"arms must be a non-empty list without duplicate labels, "
+                              f"got labels {labels}", fields=["arms"])
+
+
+# SimConfig fields a config sets globally or per arm (absent: the SimConfig default)
+_PARAMS = tuple(f.name for f in fields(SimConfig) if f.default is not MISSING)
+_SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec) if f.name != "arms")
+_TOP_LEVEL_KEYS = {*_PARAMS, "master_seed", *_SPEC_KEYS, "arms"}
+_ARM_KEYS = {*_PARAMS, "design", "tendency", "label"}
 
 
 def _choice(kind, name: str, value):
@@ -74,32 +103,8 @@ def _choice(kind, name: str, value):
                           fields=[name]) from None
 
 
-def _check_label(label) -> str:
-    """Labels become CSV cells and path components under the output directory."""
-    if (not isinstance(label, str) or label in ("", ".", "..")
-            or any(c in label for c in _LABEL_FORBIDDEN)):
-        raise ConfigError(
-            f"label must be a non-empty string other than '.' or '..' without "
-            f"'/', '\\', ',', a line break or NUL, got {label!r}", fields=["label"])
-    return label
-
-
-def _check_trace(trace) -> str:
-    if trace not in TRACE_LEVELS:
-        raise ConfigError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}",
-                          fields=["trace"])
-    return trace
-
-
-def _check_workers(workers) -> int | None:
-    if workers is not None and not (is_int(workers) and workers >= 1):
-        raise ConfigError(f"workers must be a positive integer or null, got {workers!r}",
-                          fields=["workers"])
-    return workers
-
-
 def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
-    """Build and validate an :class:`ExperimentSpec` from a config mapping;
+    """Build and validate an :class:`ExperimentSpec`, arms in the mapping's order;
     ``overrides`` (top-level keys, as from the CLI's flags) are laid over its
     values and every arm's after its key checks, and checked like them."""
     if not isinstance(data, dict):
@@ -110,20 +115,12 @@ def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
     if "master_seed" not in data:
         raise ConfigError("missing required field master_seed", fields=["master_seed"])
     data = {**data, **overrides}
-    trace = _check_trace(data.get("trace", ExperimentSpec.trace))
-    workers = _check_workers(data.get("workers", ExperimentSpec.workers))
-    out_dir = data.get("out_dir", ExperimentSpec.out_dir)
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"out_dir must be a non-empty string, got {out_dir!r}",
-                          fields=["out_dir"])
 
     arm_entries = data.get("arms")
     if arm_entries is None:
-        arm_entries = [{"design": design.value, "tendency": tendency.value}
-                       for design in (DesignKind.DYNAMIC, DesignKind.FULLY_NETWORKED,
-                                      DesignKind.SILOED)
-                       for tendency in (Tendency.PERCEPTIVE, Tendency.REACTIVE)]
-    if not isinstance(arm_entries, list) or not arm_entries:
+        arm_entries = [{"design": d.value, "tendency": t.value}
+                       for d, t in itertools.product(sorted(DesignKind), sorted(Tendency))]
+    if not isinstance(arm_entries, list):
         raise ConfigError("arms must be a non-empty list", fields=["arms"])
 
     shared = {k: v for k, v in data.items() if k in _PARAMS}
@@ -134,28 +131,22 @@ def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
             raise ConfigError(f"arm {i} must be an object", fields=["arms"])
         unknown = sorted(set(entry) - _ARM_KEYS)
         if unknown:
-            raise ConfigError(f"arm {i}: unknown keys: {', '.join(unknown)}",
-                              fields=unknown)
+            raise ConfigError(f"arm {i}: unknown keys: {', '.join(unknown)}", fields=unknown)
         for required in ("design", "tendency"):
             if required not in entry:
                 raise ConfigError(f"arm {i}: missing {required}", fields=[required])
         params = {**shared, **entry, **pinned}
         design = _choice(DesignKind, "design", entry["design"])
         tendency = _choice(Tendency, "tendency", entry["tendency"])
-        label = _check_label(entry.get("label", f"{design.value}+{tendency.value}"))
         config = SimConfig(
             master_seed=data["master_seed"], design=design, tendency=tendency,
             **{k: tuple(v) if isinstance(v, list) else v
                for k, v in params.items() if k in _PARAMS})
-        config.validate()
-        arms.append(Arm(label=label, config=config))
+        arms.append(Arm(entry.get("label", f"{design.value}+{tendency.value}"), config))
 
-    labels = [arm.label for arm in arms]
-    if len(set(labels)) != len(labels):
-        dupes = sorted({l for l in labels if labels.count(l) > 1})
-        raise ConfigError(f"duplicate arm labels: {', '.join(dupes)}", fields=["arms"])
-    arms.sort(key=lambda arm: arm.label)
-    return ExperimentSpec(arms=arms, out_dir=out_dir, trace=trace, workers=workers)
+    spec = ExperimentSpec(arms, **{k: data[k] for k in _SPEC_KEYS if k in data})
+    spec.validate()
+    return spec
 
 
 def parse_config(path, **overrides) -> ExperimentSpec:
@@ -182,13 +173,8 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
             value = getattr(c, name)
             entry[name] = list(value) if isinstance(value, tuple) else value
         arms.append(entry)
-    return {
-        "master_seed": seeds[0],
-        "out_dir": spec.out_dir,
-        "trace": spec.trace,
-        "workers": spec.workers,
-        "arms": arms,
-    }
+    return {"master_seed": seeds[0], **{k: getattr(spec, k) for k in _SPEC_KEYS},
+            "arms": arms}
 
 
 def _run_block(config: SimConfig, start: int, trace_level: str
@@ -232,16 +218,15 @@ class ExperimentOutput:
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     """Run every arm x replicate, aggregate, and write all output files.
 
-    Every arm's config is validated once, before anything is written or run.
+    The spec passes :meth:`ExperimentSpec.validate` before anything is written or run.
     Results are identical regardless of worker count and arm order: each
     replicate's stream depends only on (master_seed, replicate index), every
     worker count runs the same blocks, and every output row order is fixed.
     """
-    trace_level = _check_trace(spec.trace)
-    workers = _check_workers(spec.workers) or os.cpu_count() or 1
+    spec.validate()
+    trace_level = spec.trace
+    workers = spec.workers or os.cpu_count() or 1
     arms = sorted(spec.arms, key=lambda arm: arm.label)
-    for arm in arms:
-        arm.config.validate()
     out = Path(out_dir) if out_dir is not None else Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -46,6 +46,13 @@ class TestValidate:
         assert lines[1].startswith("  a: replicates=3 ")
         assert lines[2].startswith("  b: replicates=50 ")
 
+    def test_arms_listed_in_file_order(self, tmp_path, capsys):
+        arms = [{"design": "siloed", "tendency": "reactive", "label": label}
+                for label in ("z", "a")]
+        assert main(["validate", "--config", write_config(tmp_path, {**TINY, "arms": arms})]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0].strip() for line in lines[1:]] == ["z", "a"]
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         rc = main(["validate", "--config",
                    write_config(tmp_path, {"master_seed": 1, "bogus": True})])
@@ -90,6 +97,15 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", ""]) == 2
         assert "out_dir" in capsys.readouterr().err
         assert not any(cwd.iterdir())
+
+    def test_bad_trace_flag_exit_2(self, tmp_path, capsys):
+        # checked like "trace" in the config, not by argparse
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", write_config(tmp_path, TINY), "--out", str(out_dir),
+                   "--trace", "bogus"])
+        assert rc == 2
+        assert "trace" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_trace_override_none(self, tmp_path):
         cfg = write_config(tmp_path, TINY)

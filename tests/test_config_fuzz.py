@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orgswarm import ConfigError, SimConfig, parse_config_dict
-from orgswarm.experiment import ExperimentSpec
+from orgswarm.experiment import Arm, ExperimentSpec
 
 VALID = {
     "master_seed": [0, 7, 2**64 - 1], "design": ["siloed", "dynamic", "fully_networked"],
@@ -45,7 +45,8 @@ def entries(required, optional):
         optional={k: st.sampled_from(VALID[k]) for k in optional})
 
 
-TOP_KEYS = ["master_seed"] + SHARED + ["out_dir", "trace", "workers"]
+SPEC_KEYS = [f.name for f in fields(ExperimentSpec) if f.name != "arms"]
+TOP_KEYS = ["master_seed"] + SHARED + SPEC_KEYS
 ARM_KEYS = ["design", "tendency", "label"] + SHARED
 
 
@@ -65,6 +66,7 @@ def configs(draw):
 
 def test_every_config_field_has_valid_examples():
     assert {f.name for f in fields(SimConfig)} <= set(VALID)
+    assert set(SPEC_KEYS) | {f.name for f in fields(Arm) if f.name != "config"} <= set(VALID)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -233,15 +233,35 @@ class TestRunExperiment:
         goal = lines[1].split(",")[2]
         assert len(goal) == TINY["dim"] and set(goal) <= {"0", "1"}
 
-    def test_hand_built_spec_validated_before_anything_runs(self, tmp_path):
+    @pytest.mark.parametrize("case,field", [
+        pytest.param("dim", "dim", id="dim"),
+        pytest.param("label", "label", id="label_escape"),
+        pytest.param("duplicate", "arms", id="duplicate_labels"),
+        pytest.param("no_arms", "arms", id="no_arms"),
+        pytest.param("empty_out_dir", "out_dir", id="empty_out_dir"),
+    ])
+    def test_hand_built_spec_validated_before_anything_runs(self, tmp_path, monkeypatch,
+                                                            case, field):
         good = parse_config_dict(dict(TINY)).arms[0]
         bad = Arm("bad", SimConfig(master_seed=1, design=DesignKind.SILOED, silo_count=2,
                                    tendency=Tendency.REACTIVE, dim=0))
-        out = tmp_path / "out"
+        spec = {  # fields other than workers, each past the parser's checks
+            "dim": {"arms": [good, bad]},
+            # at trace full it would write out/esc.csv and out/esc/replicate_*.csv
+            "label": {"arms": [Arm("../esc", good.config)], "trace": "full"},
+            # one summary: the first arm's results would be dropped
+            "duplicate": {"arms": [Arm("a", good.config), Arm("a", good.config)]},
+            # CSVs that hold only a header
+            "no_arms": {"arms": []},
+            # every file written into the current directory
+            "empty_out_dir": {"arms": [good], "out_dir": ""},
+        }[case]
+        monkeypatch.chdir(tmp_path)
+        out = {} if case == "empty_out_dir" else {"out_dir": tmp_path / "out"}
         with pytest.raises(ConfigError) as err:
-            run_experiment(ExperimentSpec(arms=[good, bad], workers=1), out_dir=out)
-        assert err.value.fields == ["dim"]
-        assert not out.exists()
+            run_experiment(ExperimentSpec(workers=1, **spec), **out)
+        assert err.value.fields == [field]
+        assert not any(tmp_path.iterdir())
 
     def test_summaries_match_results(self, tiny_output):
         output, _ = tiny_output
