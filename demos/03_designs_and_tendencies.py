@@ -22,7 +22,7 @@ for tendency in Tendency:
         config = SimConfig(master_seed=20260808, tendency=tendency, **design)
         conv = []
         for i in range(REPLICATES):
-            r = run_replicate(config, i, trace_level="none")
+            r = run_replicate(config, i)
             if r.group_convergence is not None:
                 conv.append(r.group_convergence)
         iqr = np.percentile(conv, [25, 75])

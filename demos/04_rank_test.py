@@ -20,7 +20,7 @@ def arm(design, **options):
     config = SimConfig(master_seed=11, design=design, tendency=Tendency.REACTIVE, **options)
     out = []
     for i in range(60):
-        rep = run_replicate(config, i, trace_level="none")
+        rep = run_replicate(config, i)
         if rep.group_convergence is not None:
             out.append(rep.group_convergence)
     return out

@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, is_int, is_real
+from .errors import ConfigError, is_int, is_real
 from .kinematics import clamp_velocity, sigmoid, update_velocity
 from .policies import Tendency, perceptive_shift, reactive_shift
 from .strategy import BIT_DTYPE, fitness_many
@@ -37,7 +37,6 @@ from .topology import DesignKind, SiloAssignment, build_assignment, reshuffle, s
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 GBEST_MODES = ("historical", "instantaneous")
-TRACE_LEVELS = ("none", "group", "full")
 
 
 def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:
@@ -185,10 +184,10 @@ class ReplicateResult:
     first_any_hit: int | None
     iterations_run: int
     max_iterations: int
-    trace_best: np.ndarray             # t = 0..iterations_run; empty at trace "none"
+    trace_best: np.ndarray             # t = 0..iterations_run
     trace_mean: np.ndarray
     final_best_fitness: int            # min pbest fitness at termination
-    # trace full: "fitness", "silo", "self_belief", "prestige_bias" at
+    # with full: "fitness", "silo", "self_belief", "prestige_bias" at
     # t = 0..iterations_run as (iterations_run + 1, N) arrays; "inertia" (N,)
     full_trace: dict | None = None
 
@@ -323,40 +322,33 @@ def step(state: SwarmState) -> SwarmState:
     return state
 
 
-def run_replicate(config: SimConfig, replicate_index: int,
-                  trace_level: str = "group") -> ReplicateResult:
+def run_replicate(config: SimConfig, replicate_index: int, *, full=False) -> ReplicateResult:
     """Run one seeded replicate to group convergence or the iteration budget.
 
-    ``config`` must have passed :meth:`SimConfig.validate`. ``trace_level``
-    "group" keeps every iteration's fitness, "full" also each agent's silo
-    and coefficients; at "none" ``trace_best``/``trace_mean`` are empty.
+    ``config`` must have passed :meth:`SimConfig.validate`. Every iteration's
+    fitness is kept; ``full`` also keeps each agent's silo and coefficients.
     """
-    if trace_level not in TRACE_LEVELS:
-        raise InvalidParameterError(f"trace_level must be none|group|full, got {trace_level}")
-    seed = derive_replicate_seed(config.master_seed, replicate_index)
     state = init_swarm(config, replicate_rng(config.master_seed, replicate_index))
-    # at t = 0..t: fitness (trace group|full), (silo_of, coefficients) (full)
+    # at t = 0..t: fitness, and with full (silo_of, coefficients)
     fitness_rows, full_rows = [], []
     while True:
-        if trace_level != "none":
-            fitness_rows.append(state.fitness)
-            if trace_level == "full":
-                full_rows.append((state.assignment.silo_of, state.coefficients))
+        fitness_rows.append(state.fitness)
+        if full:
+            full_rows.append((state.assignment.silo_of, state.coefficients))
         if state.group_convergence is not None or state.t >= config.max_iterations:
             break
         step(state)
 
     hits = state.first_hit[state.first_hit >= 0]
-    # fitness at t = 0..iterations_run, stacked once; (0, N) at trace "none"
-    fitness = np.array(fitness_rows, dtype=np.int64).reshape(-1, config.agents)
-    full = None
-    if full_rows:
+    fitness = np.array(fitness_rows, dtype=np.int64)  # t = 0..iterations_run, stacked once
+    full_trace = None
+    if full:
         silo, coefficients = (np.array(column) for column in zip(*full_rows))
-        full = {"fitness": fitness, "silo": silo, "inertia": state.inertia,
-                "self_belief": coefficients[:, 0], "prestige_bias": coefficients[:, 1]}
+        full_trace = {"fitness": fitness, "silo": silo, "inertia": state.inertia,
+                      "self_belief": coefficients[:, 0], "prestige_bias": coefficients[:, 1]}
     return ReplicateResult(
         replicate_index=replicate_index,
-        seed=seed,
+        seed=derive_replicate_seed(config.master_seed, replicate_index),
         goal=state.goal,
         first_hit=state.first_hit.copy(),
         group_convergence=state.group_convergence,
@@ -366,5 +358,5 @@ def run_replicate(config: SimConfig, replicate_index: int,
         trace_best=fitness.min(axis=1),
         trace_mean=fitness.mean(axis=1),
         final_best_fitness=int(state.pbest_fitness.min()),
-        full_trace=full,
+        full_trace=full_trace,
     )

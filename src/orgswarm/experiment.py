@@ -30,13 +30,12 @@ import itertools
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .engine import (TRACE_LEVELS, ReplicateResult, SimConfig, _param, invalid_fields,
-                     run_replicate)
+from .engine import ReplicateResult, SimConfig, _param, invalid_fields, run_replicate
 from .errors import ConfigError, InvariantViolation, is_int
 from .policies import Tendency
 from .stats import (ArmComparison, ArmSummary, aggregate_arm, censored_values,
@@ -45,6 +44,7 @@ from .strategy import to_bitstring
 from .topology import DesignKind
 
 _BLOCK = 25  # replicates per block
+TRACE_LEVELS = ("none", "group", "full")  # "group" writes curves/, "full" also traces/
 
 
 @dataclass
@@ -64,7 +64,8 @@ class ExperimentSpec:
     :func:`parse_config_dict` and :func:`run_experiment` :meth:`validate` it."""
 
     arms: list[Arm]
-    out_dir: str = _param("non-empty string", lambda v: isinstance(v, str) and v != "",
+    out_dir: str = _param("non-empty string without NUL",
+                          lambda v: isinstance(v, str) and v != "" and "\0" not in v,
                           "results")
     trace: str = _param(f"one of {TRACE_LEVELS}", lambda v: v in TRACE_LEVELS, "group")
     workers: int | None = _param("integer >= 1 or null",
@@ -72,7 +73,7 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` for the first of: bad top-level fields;
-        the first arm with a bad label or config; no arms or duplicate labels."""
+        the first arm with a bad label or config; no arms, duplicate labels or mixed seeds."""
         bad = invalid_fields(self)
         if bad:
             raise ConfigError("invalid config: " + "; ".join(bad.values()), fields=list(bad))
@@ -85,6 +86,10 @@ class ExperimentSpec:
         if not labels or len(set(labels)) < len(labels):
             raise ConfigError(f"arms must be a non-empty list without duplicate labels, "
                               f"got labels {labels}", fields=["arms"])
+        seeds = sorted({arm.config.master_seed for arm in self.arms})
+        if len(seeds) > 1:
+            raise ConfigError(f"arms must share one master_seed, got seeds {seeds}",
+                              fields=["master_seed"])
 
 
 # SimConfig fields a config sets globally or per arm (absent: the SimConfig default)
@@ -160,10 +165,7 @@ def parse_config(path, **overrides) -> ExperimentSpec:
 
 def serialize_spec(spec: ExperimentSpec) -> dict:
     """Canonical, fully resolved config mapping (round-trips through parsing)."""
-    seeds = sorted({arm.config.master_seed for arm in spec.arms})
-    if len(seeds) != 1:
-        raise ConfigError(f"arms must be a non-empty list sharing one master_seed, got "
-                          f"seeds {seeds}", fields=["master_seed" if seeds else "arms"])
+    spec.validate()
     arms = []
     for arm in spec.arms:
         c = arm.config
@@ -173,14 +175,13 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
             value = getattr(c, name)
             entry[name] = list(value) if isinstance(value, tuple) else value
         arms.append(entry)
-    return {"master_seed": seeds[0], **{k: getattr(spec, k) for k in _SPEC_KEYS},
-            "arms": arms}
+    return {"master_seed": spec.arms[0].config.master_seed,
+            **{k: getattr(spec, k) for k in _SPEC_KEYS}, "arms": arms}
 
 
-def _run_block(config: SimConfig, start: int, trace_level: str
-               ) -> list[ReplicateResult]:
+def _run_block(config: SimConfig, start: int, full: bool) -> list[ReplicateResult]:
     """Replicates ``start .. start + _BLOCK - 1`` of one arm, in index order."""
-    return [run_replicate(config, i, trace_level)
+    return [run_replicate(config, i, full=full)
             for i in range(start, min(start + _BLOCK, config.replicates))]
 
 
@@ -218,31 +219,34 @@ class ExperimentOutput:
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     """Run every arm x replicate, aggregate, and write all output files.
 
-    The spec passes :meth:`ExperimentSpec.validate` before anything is written or run.
-    Results are identical regardless of worker count and arm order: each
-    replicate's stream depends only on (master_seed, replicate index), every
-    worker count runs the same blocks, and every output row order is fixed.
+    ``out_dir``, if given, replaces ``spec.out_dir``; the spec then passes
+    :meth:`ExperimentSpec.validate` before anything is written or run. Results
+    are identical regardless of worker count and arm order: each replicate's
+    stream depends only on (master_seed, replicate index), every worker count
+    runs the same blocks, and every output row order is fixed.
     """
+    if out_dir is not None:
+        spec = replace(spec, out_dir=str(out_dir))
     spec.validate()
-    trace_level = spec.trace
-    workers = spec.workers or os.cpu_count() or 1
+    full = spec.trace == "full"
     arms = sorted(spec.arms, key=lambda arm: arm.label)
-    out = Path(out_dir) if out_dir is not None else Path(spec.out_dir)
+    out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     starts = [(arm.config, start) for arm in arms
               for start in range(0, arm.config.replicates, _BLOCK)]
+    workers = min(spec.workers or os.cpu_count() or 1, len(starts))
     results: dict[str, list[ReplicateResult]] = {}
     with _block_map(workers) as block_map:
         # Blocks come back in submission order, so each arm's results arrive
         # in replicate order; at trace "full" an arm's traces are written and
         # dropped before the next arm's blocks are taken.
-        blocks = block_map(_run_block, *zip(*starts), [trace_level] * len(starts))
+        blocks = block_map(_run_block, *zip(*starts), [full] * len(starts))
         for arm in arms:
             n_blocks = len(range(0, arm.config.replicates, _BLOCK))
             results[arm.label] = [r for block in itertools.islice(blocks, n_blocks)
                                   for r in block]
-            if trace_level == "full":
+            if full:
                 _write_traces(out / "traces" / arm.label, results[arm.label])
 
     summaries = [aggregate_arm(results[label], label) for label in results]

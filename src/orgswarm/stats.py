@@ -35,7 +35,7 @@ class ArmSummary:
     iqr_low: float
     iqr_high: float
     median_first_any_hit: float
-    curve_best: np.ndarray                   # (T,), iterations 1..T; empty at trace none
+    curve_best: np.ndarray                   # (T,), iterations 1..T
     curve_mean: np.ndarray
 
 
@@ -69,16 +69,12 @@ def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
     Never-converged replicates are excluded from the central-tendency
     statistics and surface only in the success rate. Medians use the
     midpoint rule for even counts; the IQR uses linear interpolation.
-    Replicates run at trace "none" carry no per-iteration fitness, and
-    leave both curves empty.
     """
     if not results:
         raise InvalidParameterError("aggregate_arm needs at least one result")
     conv = convergence_values(results)
     hits = [r.first_any_hit for r in results if r.first_any_hit is not None]
-    curve_best, curve_mean = (_padded_curves(results)
-                              if all(r.trace_best.size for r in results)
-                              else (np.empty(0), np.empty(0)))
+    curve_best, curve_mean = _padded_curves(results)
     nan = float("nan")
     return ArmSummary(
         label=label,

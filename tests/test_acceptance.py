@@ -7,6 +7,7 @@ documented branches are written into the pytest tmp directory and echoed to
 stdout.
 """
 
+import itertools
 import math
 import time
 
@@ -297,16 +298,35 @@ def test_criterion_4_statistics_oracle():
 # ---------------------------------------------------------------------------
 # criteria 5-7: comparative orderings on the default grid
 
-def _run_arm(design: DesignKind, tendency: Tendency, replicates: int = 100,
-             **overrides) -> list[int]:
-    cfg = SimConfig(master_seed=ACCEPTANCE_SEED, design=design,
-                    tendency=tendency, **overrides)
-    out = []
-    for i in range(replicates):
-        r = run_replicate(cfg, i, trace_level="none")
-        if r.group_convergence is not None:
-            out.append(r.group_convergence)
-    return out
+def _sweep(out_dir, arms: dict[str, dict], replicates: int = 100) -> dict[str, list[int]]:
+    """The converged replicates' group convergence for each labelled arm, run
+    as one spec at the acceptance seed: trace none, on every core."""
+    spec = parse_config_dict({
+        "master_seed": ACCEPTANCE_SEED, "replicates": replicates, "trace": "none",
+        "workers": None, "out_dir": str(out_dir),
+        "arms": [{"label": label, **arm} for label, arm in arms.items()]})
+    output = run_experiment(spec)
+    return {label: convergence_values(output.results[label]) for label in arms}
+
+
+def _r_sweep(out_dir, tendency: str) -> dict[int, list[int]]:
+    """Dynamic arms (5 silos) at reshuffle intervals 5, 10 and 25."""
+    intervals = (5, 10, 25)
+    conv = _sweep(out_dir, {f"R{r}": {"design": "dynamic", "tendency": tendency,
+                                      "silo_count": 5, "reshuffle_interval": r}
+                            for r in intervals})
+    return {r: conv[f"R{r}"] for r in intervals}
+
+
+def test_sweep_arm_samples_equal_run_replicate(tmp_path):
+    swept = _sweep(tmp_path, {"R5": {"design": "dynamic", "tendency": "perceptive",
+                                     "silo_count": 5, "reshuffle_interval": 5}},
+                   replicates=30)["R5"]
+    cfg = SimConfig(master_seed=ACCEPTANCE_SEED, design=DesignKind.DYNAMIC,
+                    tendency=Tendency.PERCEPTIVE, silo_count=5, reshuffle_interval=5)
+    serial = [r.group_convergence for r in (run_replicate(cfg, i) for i in range(30))
+              if r.group_convergence is not None]
+    assert swept == serial and len(serial) > 1
 
 
 def test_criterion_5_reactive_design_ordering(default_grid, tmp_path):
@@ -324,9 +344,7 @@ def test_criterion_5_reactive_design_ordering(default_grid, tmp_path):
     if not soft_ok:
         lines = ["Dynamic-vs-Siloed (reactive) ordering sweep over reshuffle "
                  "interval R (100 replicates/arm):"]
-        for r_interval in (5, 10, 25):
-            dyn_r = _run_arm(DesignKind.DYNAMIC, Tendency.REACTIVE, silo_count=5,
-                             reshuffle_interval=r_interval)
+        for r_interval, dyn_r in _r_sweep(tmp_path / "sweep", "reactive").items():
             cmp_r = mann_whitney_u(dyn_r, silo)
             lines.append(f"  R={r_interval}: median Dynamic {median(dyn_r):.1f} "
                          f"vs Siloed {m_silo:.1f} (p={cmp_r.p_value:.3g})")
@@ -351,15 +369,17 @@ def test_criterion_6_perceptive_halving_claim(default_grid, tmp_path):
     lines = [f"Perceptive FN/Siloed ratio at defaults: {ratio:.3f} "
              f"(target < 0.5, acceptance < 0.7).",
              "Gap documented against parameter sweeps (100 replicates/arm):"]
-    for alpha in (0.05, 0.1, 0.2):
-        for horizon in (250, 500):
-            fn_s = _run_arm(DesignKind.FULLY_NETWORKED, Tendency.PERCEPTIVE,
-                            alpha=alpha, pressure_horizon=horizon)
-            silo_s = _run_arm(DesignKind.SILOED, Tendency.PERCEPTIVE, silo_count=5,
-                              alpha=alpha, pressure_horizon=horizon)
-            r = median(fn_s) / median(silo_s) if fn_s and silo_s else float("nan")
-            lines.append(f"  alpha={alpha}, T_p={horizon}: ratio {r:.3f} "
-                         f"(FN {median(fn_s):.1f} / Siloed {median(silo_s):.1f})")
+    grid = list(itertools.product((0.05, 0.1, 0.2), (250, 500)))
+    swept = _sweep(tmp_path / "sweep", {
+        f"{design}_{alpha}_{horizon}": {"design": design, "tendency": "perceptive",
+                                        "alpha": alpha, "pressure_horizon": horizon}
+        for alpha, horizon in grid for design in ("fully_networked", "siloed")})
+    for alpha, horizon in grid:
+        fn_s = swept[f"fully_networked_{alpha}_{horizon}"]
+        silo_s = swept[f"siloed_{alpha}_{horizon}"]
+        r = median(fn_s) / median(silo_s) if fn_s and silo_s else float("nan")
+        lines.append(f"  alpha={alpha}, T_p={horizon}: ratio {r:.3f} "
+                     f"(FN {median(fn_s):.1f} / Siloed {median(silo_s):.1f})")
     findings = "\n".join(lines)
     (tmp_path / "criterion6_gap_analysis.md").write_text(findings)
     print("\n" + findings)
@@ -382,9 +402,7 @@ def test_criterion_7_reshuffling_does_not_help_perceptive(default_grid, tmp_path
     lines = [f"Dynamic reshuffling improves perceptive self-organization at "
              f"defaults ({detail}).",
              "Sensitivity over reshuffle interval R (100 replicates/arm):"]
-    for r_interval in (5, 10, 25):
-        dyn_r = _run_arm(DesignKind.DYNAMIC, Tendency.PERCEPTIVE, silo_count=5,
-                         reshuffle_interval=r_interval)
+    for r_interval, dyn_r in _r_sweep(tmp_path / "sweep", "perceptive").items():
         cmp_r = mann_whitney_u(dyn_r, silo)
         faster = median(dyn_r) < m_silo and cmp_r.p_value < 0.05
         lines.append(f"  R={r_interval}: median {median(dyn_r):.1f} vs Siloed "

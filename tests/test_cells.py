@@ -78,7 +78,7 @@ def test_trace_file_matches_per_cell_oracle(tmp_path):
     run_experiment(spec, out_dir=tmp_path)
     written = (tmp_path / "traces" / arm.label / "replicate_0.csv").read_text()
 
-    r = run_replicate(arm.config, 0, "full")
+    r = run_replicate(arm.config, 0, full=True)
     ft = r.full_trace
     n = arm.config.agents
     lines = ["# goal=" + "".join(str(bit) for bit in r.goal.tolist()),

@@ -146,11 +146,13 @@ class TestRun:
                     "silo_count": 0}]}, "silo_count"),
         ({"arms": [{"design": "siloed", "tendency": "reactive",
                     "reshuffle_interval": [1, 2]}]}, "reshuffle_interval"),
+        # mkdir would raise ValueError (embedded null byte)
+        ({"out_dir": "out\0dir"}, "out_dir"),
     ])
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys, override, field):
         out_dir = tmp_path / "out"
-        rc = main(["run", "--config", write_config(tmp_path, {**TINY, **override}),
-                   "--out", str(out_dir)])
+        config = {**TINY, "out_dir": str(out_dir), **override}
+        rc = main(["run", "--config", write_config(tmp_path, config)])
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
@@ -207,7 +209,7 @@ class TestRun:
         assert "worker process died" in capsys.readouterr().err
 
 
-def _exit_process(*args):
+def _exit_process(*args, **kwargs):
     os._exit(1)
 
 

@@ -163,7 +163,7 @@ class TestStep:
 
     def test_trace_best_le_mean(self):
         c = config(max_iterations=40)
-        r = run_replicate(c, 5, "full")
+        r = run_replicate(c, 5, full=True)
         assert r.trace_best.size == r.iterations_run + 1 > 1
         assert all(b <= m + 1e-12 for b, m in zip(r.trace_best, r.trace_mean))
         # both are read off the per-agent fitness at t = 0..iterations_run
@@ -225,16 +225,23 @@ class TestRunReplicate:
         assert r.trace_best.size == r.iterations_run + 1
         assert r.trace_mean.size == r.iterations_run + 1
 
-    def test_trace_none_records_nothing_per_step(self):
+    def test_full_trace_leaves_the_replicate_unchanged(self):
         c = config(dim=20, agents=10, max_iterations=99)
-        r = run_replicate(c, 0, "none")
-        assert r.iterations_run > 0
-        assert r.trace_best.size == 0 and r.trace_mean.size == 0
-        g = run_replicate(c, 0, "group")
-        assert g.trace_best.size == g.trace_mean.size == r.iterations_run + 1
+        r = run_replicate(c, 0)
+        assert r.iterations_run > 0 and r.full_trace is None
+        f = run_replicate(c, 0, full=True)
+        for result in (r, f):
+            assert result.trace_best.size == result.trace_mean.size == r.iterations_run + 1
         assert (r.group_convergence, r.final_best_fitness) == (
-            g.group_convergence, g.final_best_fitness)
-        assert np.array_equal(r.first_hit, g.first_hit)
+            f.group_convergence, f.final_best_fitness)
+        assert np.array_equal(r.first_hit, f.first_hit)
+
+    @pytest.mark.parametrize("level", ["none", "group", "full"])
+    def test_trace_level_argument_refused(self, level):
+        # full is keyword-only: a positional level string (truthy) cannot
+        # silently ask for the per-agent trace
+        with pytest.raises(TypeError):
+            run_replicate(config(max_iterations=5), 0, level)
 
     def test_never_converged_flagged(self):
         c = config(dim=20, agents=10, max_iterations=3)
@@ -245,7 +252,7 @@ class TestRunReplicate:
 
     def test_full_trace_row_per_iteration(self):
         c = config(max_iterations=25)
-        r = run_replicate(c, 0, trace_level="full")
+        r = run_replicate(c, 0, full=True)
         ft = r.full_trace
         for key in ("fitness", "silo", "self_belief", "prestige_bias"):
             assert ft[key].shape == (r.iterations_run + 1, c.agents)

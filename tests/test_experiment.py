@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +239,8 @@ class TestRunExperiment:
         pytest.param("duplicate", "arms", id="duplicate_labels"),
         pytest.param("no_arms", "arms", id="no_arms"),
         pytest.param("empty_out_dir", "out_dir", id="empty_out_dir"),
+        pytest.param("empty_out_dir_argument", "out_dir", id="empty_out_dir_argument"),
+        pytest.param("mixed_seeds", "master_seed", id="mixed_seeds"),
     ])
     def test_hand_built_spec_validated_before_anything_runs(self, tmp_path, monkeypatch,
                                                             case, field):
@@ -255,9 +257,13 @@ class TestRunExperiment:
             "no_arms": {"arms": []},
             # every file written into the current directory
             "empty_out_dir": {"arms": [good], "out_dir": ""},
+            "empty_out_dir_argument": {"arms": [good]},
+            # arms no config can express: a config has one master_seed
+            "mixed_seeds": {"arms": [good, Arm("b", replace(good.config, master_seed=1))]},
         }[case]
         monkeypatch.chdir(tmp_path)
-        out = {} if case == "empty_out_dir" else {"out_dir": tmp_path / "out"}
+        out = {"empty_out_dir": {}, "empty_out_dir_argument": {"out_dir": ""}}.get(
+            case, {"out_dir": tmp_path / "out"})
         with pytest.raises(ConfigError) as err:
             run_experiment(ExperimentSpec(workers=1, **spec), **out)
         assert err.value.fields == [field]
@@ -305,6 +311,38 @@ class TestDeterminism:
                                 for p in sorted(out.rglob("*")) if p.is_file()}
         assert len(outputs[1]) == 4 + 6 + 6 * 27
         assert outputs[1] == outputs[2]
+
+    def test_pool_no_larger_than_block_count(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:  # runs the blocks in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        arms = [{"design": "siloed", "tendency": t} for t in ("reactive", "perceptive")]
+        run_experiment(parse_config_dict({**TINY, "arms": arms[:1], "workers": 64}),
+                       out_dir=tmp_path / "one")
+        assert sizes == []
+        outputs = {}
+        for workers in (1, 64):
+            out = tmp_path / f"w{workers}"
+            run_experiment(parse_config_dict({**TINY, "arms": arms, "workers": workers}),
+                           out_dir=out)
+            outputs[workers] = {p.relative_to(out): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}
+        assert sizes == [2]
+        assert outputs[1] == outputs[64]
 
     def test_every_file_independent_of_start_method(self, tmp_path):
         # The pool takes Python's default start method, which differs across
@@ -361,13 +399,14 @@ class TestTraceLevels:
         assert not (tmp_path / "out" / "traces").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
 
-    def test_trace_none_summaries_carry_no_curves(self, tmp_path, tiny_output):
+    def test_trace_none_summaries_carry_the_unwritten_curves(self, tmp_path, tiny_output):
+        # the trace level chooses the files written, not what is recorded
         spec = parse_config_dict({**TINY, "trace": "none"})
         output = run_experiment(spec, out_dir=tmp_path / "out")
-        for summary in output.summaries:
-            assert summary.curve_best.size == summary.curve_mean.size == 0
-        for summary in tiny_output[0].summaries:
+        for summary, traced in zip(output.summaries, tiny_output[0].summaries):
             assert summary.curve_best.size == TINY["max_iterations"]
+            assert np.array_equal(summary.curve_best, traced.curve_best)
+            assert np.array_equal(summary.curve_mean, traced.curve_mean)
 
     def test_trace_full_emits_per_replicate_files(self, tmp_path):
         spec = parse_config_dict({**TINY, "replicates": 2, "trace": "full"})
