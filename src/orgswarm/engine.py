@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, is_int, is_real
 from .kinematics import clamp_velocity, sigmoid, update_velocity
+# reactive_shift stays bound here: perfbench's tracing.TRACED wraps it by this name
 from .policies import Tendency, perceptive_shift, reactive_shift
 from .strategy import BIT_DTYPE, fitness_many
 from .topology import DesignKind, SiloAssignment, build_assignment, reshuffle, silo_leaders
@@ -109,8 +110,9 @@ class SimConfig:
     v_max: float = _positive(4.0)
     delta: float = _positive(0.1)
     alpha: float = _param("real in (0, 1]", lambda v: is_real(v) and 0 < v <= 1, 0.1)
-    # None means max(1, max_iterations // 4)
-    pressure_horizon: int | None = _count(None)
+    # None means max(1, max_iterations // 4); it stays None only beside a bad max_iterations
+    pressure_horizon: int | None = _param("integer >= 1 or null",
+                                          lambda v: v is None or (is_int(v) and v >= 1), None)
     coeff_min: float = _param("real", is_real, 0.0)
     coeff_max: float = _param("real", is_real, 2.0)
     inertia_init: tuple[float, float] = _pair((0.9, 0.95))
@@ -306,14 +308,10 @@ def step(state: SwarmState) -> SwarmState:
             if unhit == 0:
                 state.group_convergence = t
 
-    ema, coefficients = state.feedback_ema, state.coefficients
-    if cfg.tendency is Tendency.REACTIVE:
-        coefficients = reactive_shift(coefficients, signal, cfg.delta,
-                                      cfg.coeff_min, cfg.coeff_max)
-    else:
-        ema, coefficients = perceptive_shift(ema, coefficients, signal, t,
-                                             cfg.pressure_horizon, cfg.alpha, cfg.delta,
-                                             cfg.coeff_min, cfg.coeff_max)
+    alpha = 1.0 if cfg.tendency is Tendency.REACTIVE else cfg.alpha  # see policies
+    ema, coefficients = perceptive_shift(state.feedback_ema, state.coefficients, signal, t,
+                                         cfg.pressure_horizon, alpha, cfg.delta,
+                                         cfg.coeff_min, cfg.coeff_max)
     if cfg.freeze_on_goal:  # new arrays that keep the frozen agents' values
         ema = np.where(live, ema, state.feedback_ema)
         coefficients = np.where(live, coefficients, state.coefficients)

@@ -235,7 +235,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
 
     starts = [(arm.config, start) for arm in arms
               for start in range(0, arm.config.replicates, _BLOCK)]
-    workers = min(spec.workers or os.cpu_count() or 1, len(starts))
+    cpu = os.cpu_count() or 1
+    workers = min(spec.workers or cpu, cpu, len(starts))
     results: dict[str, list[ReplicateResult]] = {}
     with _block_map(workers) as block_map:
         # Blocks come back in submission order, so each arm's results arrive

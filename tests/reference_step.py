@@ -74,6 +74,7 @@ def reference_step(state):
         sub_ema, sub_belief, sub_bias = ema[live], belief[live], bias[live]
         sub_signal = signal[live]
     if cfg.tendency is Tendency.REACTIVE:
+        sub_ema = sub_signal.astype(float)  # the engine's reactive rule is alpha = 1
         step_size = cfg.delta
     else:
         sub_ema = (1.0 - cfg.alpha) * sub_ema + cfg.alpha * sub_signal

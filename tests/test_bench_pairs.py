@@ -1,7 +1,8 @@
 """tools/bench_pairs.py's summary, checked against a record it did not write:
 BENCH_4.json's grid_serial pairs, whose medians, interquartile range, wins
-and median reduction were computed without it; and its ``--profile`` script,
-run on a one-replicate workload."""
+and median reduction were computed without it; its ``--profile`` script,
+run on a one-replicate workload; and the parts of ``--tier1`` that do not
+run Tier-1 (the summary-line parser and the direction of its wall time)."""
 
 import importlib.util
 import json
@@ -45,6 +46,31 @@ def test_wins_follow_each_metric_direction():
     assert summary["change_wins_grid_serial.rep_iters_per_s"] == 0  # higher is better
     assert summary["change_wins_engine.step.calls"] == 0        # a tie counts for neither
     assert summary["parent_quartiles_grid_serial.wall_s"] is None  # one pair has none
+
+
+@pytest.mark.parametrize("line,passed,failed", [
+    ("270 passed in 27.61s", 270, 0),
+    ("1 failed, 269 passed, 2 warnings in 30.02s", 269, 1),
+    ("======= 3 failed, 1 error in 0.50s =======", 0, 3),
+    ("4 passed, 2 xpassed, 1 xfailed in 1.00s", 4, 0),
+])
+def test_pytest_summary_counts(line, passed, failed):
+    assert bench_pairs.pytest_counts(line) == {"passed": passed, "failed": failed}
+
+
+def test_pytest_summary_refuses_other_lines():
+    with pytest.raises(ValueError):
+        bench_pairs.pytest_counts("Traceback (most recent call last):")
+
+
+def test_tier1_wall_time_lower_is_better():
+    # BENCHMARK.json does not list it; the tool sets its direction
+    pairs = [{"parent_tier1_wall_s": 30.0, "change_tier1_wall_s": 28.0},
+             {"parent_tier1_wall_s": 29.0, "change_tier1_wall_s": 31.0},
+             {"parent_tier1_wall_s": 33.0, "change_tier1_wall_s": 27.0}]
+    summary = bench_pairs.summarize(pairs, ["tier1_wall_s"])
+    assert summary["change_wins_tier1_wall_s"] == 2
+    assert summary["median_change_tier1_wall_s"] == pytest.approx(28 / 30 - 1)
 
 
 def test_profile_records_faults_and_system_time(tmp_path):

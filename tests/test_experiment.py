@@ -312,12 +312,15 @@ class TestDeterminism:
         assert len(outputs[1]) == 4 + 6 + 6 * 27
         assert outputs[1] == outputs[2]
 
-    def test_pool_no_larger_than_block_count(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every pool built; the blocks run in this
+        process, so no real pool is ever started."""
         import concurrent.futures
 
         sizes = []
 
-        class RecordingPool:  # runs the blocks in this process
+        class RecordingPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -330,10 +333,14 @@ class TestDeterminism:
             map = staticmethod(map)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_no_larger_than_block_count(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the blocks bind, not the host
         arms = [{"design": "siloed", "tendency": t} for t in ("reactive", "perceptive")]
         run_experiment(parse_config_dict({**TINY, "arms": arms[:1], "workers": 64}),
                        out_dir=tmp_path / "one")
-        assert sizes == []
+        assert pool_sizes == []
         outputs = {}
         for workers in (1, 64):
             out = tmp_path / f"w{workers}"
@@ -341,8 +348,17 @@ class TestDeterminism:
                            out_dir=out)
             outputs[workers] = {p.relative_to(out): p.read_bytes()
                                 for p in sorted(out.rglob("*")) if p.is_file()}
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert outputs[1] == outputs[64]
+
+    def test_pool_no_larger_than_host(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        arms = [{"design": d, "tendency": t} for d in ("siloed", "dynamic")
+                for t in ("reactive", "perceptive")]  # 4 one-block arms
+        for workers in (64, None):
+            run_experiment(parse_config_dict({**TINY, "arms": arms, "workers": workers}),
+                           out_dir=tmp_path / f"w{workers}")
+        assert pool_sizes == [3, 3]
 
     def test_every_file_independent_of_start_method(self, tmp_path):
         # The pool takes Python's default start method, which differs across

@@ -91,6 +91,12 @@ class TestPressure:
         for bad in (0, -5, 2.5, True):
             assert rejected_fields(pressure_horizon=bad) == ["pressure_horizon"]
 
+    def test_unset_horizon_not_named_beside_a_bad_budget(self):
+        # the default horizon comes from max_iterations, so it stays unset
+        # when max_iterations is rejected; only the key the user set is named
+        for bad in ("x", 2.5, True):
+            assert rejected_fields(max_iterations=bad) == ["max_iterations"]
+
 
 def perceptive(ema, c1, c2, signal, t, horizon=500, alpha=0.1, delta=0.1):
     """``perceptive_shift`` on one agent, as (ema', C1', C2')."""
@@ -156,6 +162,39 @@ class TestPerceptiveUpdate:
             lo = min(signals + [0])
             hi = max(signals + [0])
             assert lo - 1e-12 <= ema <= hi + 1e-12
+
+
+class TestReactiveIsPerceptiveAtAlphaOne:
+    """The engine runs reactive agents as perceptive ones at alpha = 1; these
+    pin the identity that makes the two bit-identical."""
+
+    def test_full_step_at_every_pressure(self):
+        # delta * (p + (1 - p) * 1) == delta needs the bracket to be exactly 1
+        t = np.arange(1001)[:, None]
+        horizon = np.arange(1, 1001)[None, :]
+        p = np.minimum(1.0, t / horizon)  # pressure(t, horizon), vectorised
+        for ti, h in [(0, 1), (5, 10), (333, 999), (1000, 3)]:
+            assert p[ti, h - 1] == pressure(ti, h)
+        assert (p + (1.0 - p) * 1.0 == 1.0).all()
+
+    @pytest.mark.parametrize("delta", [0.1, 1])
+    @pytest.mark.parametrize("t,horizon", [(0, 1), (1, 7), (3, 1000), (250, 500), (9, 3)])
+    def test_same_bytes_as_reactive_shift(self, delta, t, horizon):
+        rng = np.random.default_rng(24)
+        n = 400
+        signal = rng.integers(-4, 5, n)
+        signal[:50] = 0
+        prior = rng.normal(size=n)
+        prior[::7] = -0.0
+        prior[1::7] = 0.0
+        coefficients = rng.uniform(*BOUNDS, (2, n))
+        # at a clamp, or within one step of it
+        coefficients[:, :200] = rng.choice([0.0, 2.0, 0.05, 1.95], size=(2, 200))
+        ema, moved = perceptive_shift(prior, coefficients, signal, t, horizon, 1.0, delta,
+                                      *BOUNDS)
+        assert ema.tobytes() == signal.astype(float).tobytes()
+        assert moved.tobytes() == reactive_shift(coefficients, signal, delta,
+                                                 *BOUNDS).tobytes()
 
 
 class TestIntegerParameters:

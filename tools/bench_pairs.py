@@ -3,6 +3,7 @@
     python3 tools/bench_pairs.py --parent REV --workload NAME|all --seeds 701-710
         [--trace 0|1] [--out BENCH_N.json --key NAME]
     python3 tools/bench_pairs.py --parent REV --workload NAME --seeds 1 --profile
+    python3 tools/bench_pairs.py --parent REV --tier1 PAIRS [--out BENCH_N.json --key NAME]
 
 The parent side is the committed files of ``REV``, extracted with
 ``git archive`` into a temporary ``.bench_parent_*`` directory inside this
@@ -27,6 +28,13 @@ calls of ``numpy.array`` and of ``ndarray.copy`` per orgswarm caller, and
 the minor page faults and system CPU seconds spent during the run
 (``resource.getrusage`` of the process and of the workers it waited for).
 
+``--tier1 PAIRS`` times the Tier-1 verify command (:data:`TIER1`, with
+``PYTHONPATH`` led by that side's ``src``) from each side's root instead,
+alternating which side runs first, and records per pair each side's
+``tier1_wall_s`` (the whole command, lower is better), the ``tier1_passed``
+and ``tier1_failed`` counts and the summary line of pytest, summarized as
+above.
+
 ``--out FILE --key NAME`` stores the record as ``FILE[NAME]``, with the
 host's description under ``FILE["host"]``; otherwise it goes to stdout.
 Progress goes to stderr. The tool may be run from any directory: each
@@ -39,13 +47,20 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Tier-1 verify, after ROADMAP.md; run with PYTHONPATH led by the side's src
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# metrics this tool measures itself, which BENCHMARK.json does not list
+OWN_DIRECTIONS = {"tier1_wall_s": "lower"}
 
 PROFILE = r"""
 import cProfile, json, pstats, resource, sys, tempfile
@@ -113,7 +128,8 @@ def seeds_from(text: str) -> list[int]:
 
 def directions() -> dict[str, str]:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    return {**{m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]},
+            **OWN_DIRECTIONS}
 
 
 def run_side(root: Path, command: list[str]) -> dict:
@@ -186,6 +202,49 @@ def pairs_record(args, parent_root: Path, parent: str) -> dict:
             **summarize(pairs, metrics)}
 
 
+def pytest_counts(summary: str) -> dict[str, int]:
+    """Passed and failed counts from pytest's last line, such as
+    ``1 failed, 269 passed, 2 warnings in 27.61s``; absent counts are 0."""
+    if not re.search(r" in [\d.]+s", summary):
+        raise ValueError(f"not a pytest summary line: {summary!r}")
+    found = dict((kind, int(n)) for n, kind in re.findall(r"(\d+) (passed|failed)\b", summary))
+    return {kind: found.get(kind, 0) for kind in ("passed", "failed")}
+
+
+def run_tier1(root: Path) -> tuple[float, str]:
+    """Wall seconds and pytest's summary line of one Tier-1 run from ``root``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                          stdout=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    sys.stderr.write("".join(line + "\n" for line in lines[-3:]))
+    return wall, lines[-1] if lines else ""
+
+
+def tier1_record(args, parent_root: Path, parent: str) -> dict:
+    pairs = []
+    for i in range(args.tier1):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"pair": i + 1, "first": order[0]}
+        for side in order:
+            print(f"# tier-1 pair {i + 1}/{args.tier1}: {side}", file=sys.stderr)
+            wall, summary = run_tier1(parent_root if side == "parent" else ROOT)
+            counts = pytest_counts(summary)
+            pair.update({f"{side}_tier1_wall_s": sig(wall),
+                         f"{side}_tier1_passed": counts["passed"],
+                         f"{side}_tier1_failed": counts["failed"],
+                         f"{side}_summary": summary})
+        pairs.append(pair)
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1)
+                       + " from each side's root, parent and change alternating which "
+                         "runs first",
+            "parent": parent, "change": "working tree", "pairs": pairs,
+            **summarize(pairs, ["tier1_wall_s", "tier1_passed", "tier1_failed"])}
+
+
 def profile_record(args, parent_root: Path, parent: str) -> dict:
     seed = args.seeds[0]
     record = {"command": f"cProfile of run_experiment on the {args.workload} config, "
@@ -208,20 +267,27 @@ def host() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=seeds_from)
+    parser.add_argument("--workload")
+    parser.add_argument("--seeds", type=seeds_from)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--profile", action="store_true")
+    parser.add_argument("--tier1", type=int, metavar="PAIRS",
+                        help="time Tier-1 verify in PAIRS alternating pairs instead")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--key")
     args = parser.parse_args()
     if (args.out is None) != (args.key is None):
         parser.error("--out and --key go together")
+    if args.tier1 is None and (args.workload is None or args.seeds is None):
+        parser.error("--workload and --seeds are required without --tier1")
+    if args.tier1 is not None and args.tier1 < 1:
+        parser.error("--tier1 needs at least 1 pair")
     parent = git("rev-parse", "--short", args.parent)
     with tempfile.TemporaryDirectory(prefix=".bench_parent_", dir=ROOT) as tmp:
         parent_root = Path(tmp)
         extract(parent, parent_root)
-        record = (profile_record if args.profile else pairs_record)(args, parent_root, parent)
+        record = (tier1_record if args.tier1 is not None else profile_record if args.profile
+                  else pairs_record)(args, parent_root, parent)
     if args.out is None:
         print(json.dumps(record, indent=1))
         return 0
