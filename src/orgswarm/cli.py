@@ -54,13 +54,11 @@ def main(argv=None) -> int:
         overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         spec = parse_config(args.config, **overrides)
         output = run_experiment(spec)
-        print(f"wrote {output.out_dir}/summary.csv, arms.csv, comparisons.csv"
-              + (", curves/" if spec.trace != "none" else ""))
-        for s in output.summaries:
-            med = s.median_group_convergence
-            med_s = f"{med:.1f}" if med == med else "n/a"
-            print(f"  {s.label}: success {s.successes}/{s.n}, "
-                  f"median group convergence {med_s}")
+        print(f"wrote {output.out_dir}/summary.csv, arms.csv, comparisons.csv, goals.csv"
+              + {"none": "", "group": ", curves/", "full": ", curves/, traces/"}[spec.trace])
+        for s in output.summaries:  # the median is nan when no replicate converged
+            med = f"{s.median_group_convergence:.1f}" if s.successes else "n/a"
+            print(f"  {s.label}: success {s.successes}/{s.n}, median group convergence {med}")
         return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -17,9 +17,9 @@ bit-for-bit on any host:
 Iteration ``t=0`` is the evaluation of the initial positions; each
 :func:`step` is one synchronous update, to ``state.t + 1``. The one loop,
 :func:`run_replicate`, steps at ``t = 1..max_iterations``, stops early once
-every agent has hit the goal at least once (group convergence), and records
-the trace rows. :func:`step` owns the state; it keeps the neighbourhood
-bests until a reshuffle or an improving step (see there).
+every personal best is 0 (group convergence) and reads every hit off the
+fitness trace it records. :func:`step` owns the state, keeps no hit record
+and keeps the neighbourhood bests until a reshuffle or an improving step.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class SimConfig:
 
 @dataclass
 class SwarmState:
-    """Mutable whole-swarm state for one replicate (struct-of-arrays)."""
+    """Mutable whole-swarm state for one replicate (struct-of-arrays), no hit record."""
 
     config: SimConfig
     rng: np.random.Generator
@@ -160,18 +160,15 @@ class SwarmState:
     positions: np.ndarray          # (N, D) bits
     velocities: np.ndarray         # (N, D) float
     bests: np.ndarray              # (2, N, D) bits: [personal; neighbourhood] bests
-    pbest_fitness: np.ndarray      # (N,) int
+    pbest_fitness: np.ndarray      # (N,) int, 0 iff the agent has hit the goal
     fitness: np.ndarray            # (N,) int, current positions
     inertia: np.ndarray            # (N,) float, never adapted
     coefficients: np.ndarray       # (2, N) float: [self-belief C1; prestige bias C2]
     feedback_ema: np.ndarray       # (N,) float
     assignment: SiloAssignment
-    first_hit: np.ndarray          # (N,) int, -1 = never
-    unhit: int                     # agents with first_hit == -1 (pbest > 0)
     work: np.ndarray               # (2, N, D) float buffer, see step
     stale: bool = True             # bests[1] must be gathered again
     t: int = 0
-    group_convergence: int | None = None
 
 
 @dataclass
@@ -188,7 +185,7 @@ class ReplicateResult:
     max_iterations: int
     trace_best: np.ndarray             # t = 0..iterations_run
     trace_mean: np.ndarray
-    final_best_fitness: int            # min pbest fitness at termination
+    final_best_fitness: int            # min fitness in the trace (= min pbest)
     # with full: "fitness", "silo", "self_belief", "prestige_bias" at
     # t = 0..iterations_run as (iterations_run + 1, N) arrays; "inertia" (N,)
     full_trace: dict | None = None
@@ -212,8 +209,7 @@ def init_swarm(config: SimConfig, rng: np.random.Generator) -> SwarmState:
                              rng.uniform(*config.prestige_bias_init, config.agents)])
     assignment = build_assignment(config.design, config.silo_count, config.agents, rng)
     fit = fitness_many(positions, goal)
-    first_hit = np.where(fit == 0, 0, -1).astype(np.int64)
-    state = SwarmState(
+    return SwarmState(
         config=config,
         rng=rng,
         goal=goal,
@@ -226,13 +222,8 @@ def init_swarm(config: SimConfig, rng: np.random.Generator) -> SwarmState:
         coefficients=coefficients,
         feedback_ema=np.zeros(config.agents),
         assignment=assignment,
-        first_hit=first_hit,
-        unhit=np.count_nonzero(fit),
         work=np.zeros((2, *positions.shape)),
     )
-    if state.unhit == 0:
-        state.group_convergence = 0
-    return state
 
 
 def step(state: SwarmState) -> SwarmState:
@@ -240,17 +231,18 @@ def step(state: SwarmState) -> SwarmState:
 
     Order: reshuffle when due -> neighborhood bests from the previous
     iteration's memory -> velocity update, clamp, stochastic binarization ->
-    evaluation -> personal-best update (strict improvement) -> policy update
-    -> bookkeeping. Mutates and returns ``state``, whose fields it owns:
-    nothing may write them between steps (tests set them before step 1).
-    Historical neighbourhood bests (``bests[1]``) are kept until a reshuffle
-    or a step improving a personal best; a step improving none skips the
-    personal-best writes and the hit count. Velocities are updated and
-    clamped in place (a new array with ``freeze_on_goal``). The (2, N, D)
-    ``work`` buffer holds the C1 and C2 pulls, then the binarization uniforms
-    and the bit probabilities. Each step's fitness, silo and coefficient
-    arrays are new objects, never written in place, so the trace rows that
-    :func:`run_replicate` keeps without copying hold their values.
+    evaluation -> personal-best update (strict improvement) -> policy update.
+    Mutates and returns ``state``, whose fields it owns: nothing may write them
+    between steps (tests set them before step 1). It keeps no hit record;
+    ``freeze_on_goal`` freezes the agents whose personal best is 0. Historical
+    neighbourhood bests (``bests[1]``) are kept until a reshuffle or a step
+    improving a personal best; a step improving none skips the personal-best
+    writes. Velocities are updated and clamped in place (a new array with
+    ``freeze_on_goal``). The (2, N, D) ``work`` buffer holds the C1 and C2
+    pulls, then the binarization uniforms and the bit probabilities. Each
+    step's fitness, silo and coefficient arrays are new objects, never written
+    in place, so the trace rows that :func:`run_replicate` keeps without
+    copying hold their values.
     """
     cfg = state.config
     t = state.t + 1
@@ -284,7 +276,7 @@ def step(state: SwarmState) -> SwarmState:
     new_pos = (state.rng.random(out=work[0]) < sigmoid(vel, out=work[1])).view(BIT_DTYPE)
 
     if cfg.freeze_on_goal:
-        live = state.first_hit < 0
+        live = state.pbest_fitness > 0  # not yet hit (a new array)
         frozen = ~live[:, None]
         np.copyto(new_pos, state.positions, where=frozen)
         np.copyto(vel, state.velocities, where=frozen)
@@ -296,17 +288,10 @@ def step(state: SwarmState) -> SwarmState:
     state.fitness = fit
 
     improved = fit < state.pbest_fitness
-    if np.count_nonzero(improved):  # else pbests, leaders and hits are unchanged
+    if np.count_nonzero(improved):  # else pbests and leaders are unchanged
         np.copyto(bests[0], new_pos, where=improved[:, None])
         np.minimum(state.pbest_fitness, fit, out=state.pbest_fitness)
         state.stale = True
-        # An agent has hit the goal iff its personal best is 0 (fitness >= 0).
-        unhit = np.count_nonzero(state.pbest_fitness)
-        if unhit < state.unhit:
-            state.first_hit[(fit == 0) & (state.first_hit < 0)] = t
-            state.unhit = unhit
-            if unhit == 0:
-                state.group_convergence = t
 
     alpha = 1.0 if cfg.tendency is Tendency.REACTIVE else cfg.alpha  # see policies
     ema, coefficients = perceptive_shift(state.feedback_ema, state.coefficients, signal, t,
@@ -320,25 +305,31 @@ def step(state: SwarmState) -> SwarmState:
     return state
 
 
+def _first_hits(fitness: np.ndarray) -> np.ndarray:
+    """(N,) int64: each agent's first row at fitness 0 in a (T+1, N) trace, or -1."""
+    hit = fitness == 0
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+
+
 def run_replicate(config: SimConfig, replicate_index: int, *, full=False) -> ReplicateResult:
     """Run one seeded replicate to group convergence or the iteration budget.
 
-    ``config`` must have passed :meth:`SimConfig.validate`. Every iteration's
-    fitness is kept; ``full`` also keeps each agent's silo and coefficients.
+    ``config`` must have passed :meth:`SimConfig.validate`. Every iteration's fitness
+    is kept and gives the hits; ``full`` also keeps each agent's silo and coefficients.
     """
     state = init_swarm(config, replicate_rng(config.master_seed, replicate_index))
-    # at t = 0..t: fitness, and with full (silo_of, coefficients)
-    fitness_rows, full_rows = [], []
+    fitness_rows, full_rows = [], []  # at t = 0..: fitness; with full (silo_of, coefficients)
     while True:
         fitness_rows.append(state.fitness)
         if full:
             full_rows.append((state.assignment.silo_of, state.coefficients))
-        if state.group_convergence is not None or state.t >= config.max_iterations:
+        if np.count_nonzero(state.pbest_fitness) == 0 or state.t >= config.max_iterations:
             break
         step(state)
 
-    hits = state.first_hit[state.first_hit >= 0]
     fitness = np.array(fitness_rows, dtype=np.int64)  # t = 0..iterations_run, stacked once
+    first_hit = _first_hits(fitness)
+    hits = first_hit[first_hit >= 0]
     full_trace = None
     if full:
         silo, coefficients = (np.array(column) for column in zip(*full_rows))
@@ -348,13 +339,13 @@ def run_replicate(config: SimConfig, replicate_index: int, *, full=False) -> Rep
         replicate_index=replicate_index,
         seed=derive_replicate_seed(config.master_seed, replicate_index),
         goal=state.goal,
-        first_hit=state.first_hit.copy(),
-        group_convergence=state.group_convergence,
+        first_hit=first_hit,
+        group_convergence=state.t if hits.size == first_hit.size else None,
         first_any_hit=int(hits.min()) if hits.size else None,
         iterations_run=state.t,
         max_iterations=config.max_iterations,
         trace_best=fitness.min(axis=1),
         trace_mean=fitness.mean(axis=1),
-        final_best_fitness=int(state.pbest_fitness.min()),
+        final_best_fitness=int(fitness.min()),
         full_trace=full_trace,
     )

@@ -1,9 +1,9 @@
 """Experiment grid: JSON config parsing, replication in blocks, CSV outputs.
 
-A config is a single strict JSON document (unknown keys are rejected). Only
-``master_seed`` is required; everything else defaults. Without an ``arms``
-list the standard 3 designs x 2 tendencies grid is expanded. One check,
-:meth:`ExperimentSpec.validate`, serves the parser and ``run_experiment``.
+A config is one strict UTF-8 JSON document (unknown or repeated keys are
+rejected). Only ``master_seed`` is required; everything else defaults. With
+no ``arms`` list the standard 3 designs x 2 tendencies grid is expanded. One
+check, :meth:`ExperimentSpec.validate`, serves the parser and ``run_experiment``.
 
 Each arm runs as the same blocks of 25 replicates at every worker count,
 through ``map`` at one worker and a process pool's ``map`` otherwise; an
@@ -47,14 +47,23 @@ _BLOCK = 25  # replicates per block
 TRACE_LEVELS = ("none", "group", "full")  # "group" writes curves/, "full" also traces/
 
 
+def _encodes(encode, value: str) -> bool:
+    """Whether ``encode(value)`` succeeds, so the string can be written out."""
+    try:
+        encode(value)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass
 class Arm:
     """One design x tendency arm; its label names CSV cells and output paths."""
 
-    label: str = _param("non-empty string other than '.' or '..' without '/', '\\', ',', "
-                        "a line break or NUL",
+    label: str = _param("non-empty UTF-8 string other than '.' or '..' without '/', '\\', "
+                        "',', a line break or NUL",
                         lambda v: isinstance(v, str) and v not in ("", ".", "..")
-                        and not any(c in v for c in "/\\,\n\r\0"))
+                        and not any(c in v for c in "/\\,\n\r\0") and _encodes(str.encode, v))
     config: SimConfig
 
 
@@ -64,9 +73,9 @@ class ExperimentSpec:
     :func:`parse_config_dict` and :func:`run_experiment` :meth:`validate` it."""
 
     arms: list[Arm]
-    out_dir: str = _param("non-empty string without NUL",
-                          lambda v: isinstance(v, str) and v != "" and "\0" not in v,
-                          "results")
+    out_dir: str = _param("non-empty file-system-encodable string without NUL",
+                          lambda v: isinstance(v, str) and v != "" and "\0" not in v
+                          and _encodes(os.fsencode, v), "results")
     trace: str = _param(f"one of {TRACE_LEVELS}", lambda v: v in TRACE_LEVELS, "group")
     workers: int | None = _param("integer >= 1 or null",
                                  lambda v: v is None or (is_int(v) and v >= 1), None)
@@ -154,12 +163,21 @@ def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
     return spec
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's mapping; a key given twice is a config error."""
+    keys = [key for key, _ in pairs]
+    twice = sorted({key for key in keys if keys.count(key) > 1})
+    if twice:
+        raise ConfigError(f"duplicate config keys: {', '.join(twice)}", fields=twice)
+    return dict(pairs)
+
+
 def parse_config(path, **overrides) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from None
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from None
     return parse_config_dict(data, **overrides)
 
 

@@ -118,10 +118,6 @@ def _u_tail_counts(m: int, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _normal_sf(x: float) -> float:
-    return math.erfc(x / math.sqrt(2.0)) / 2.0
-
-
 @dataclass
 class MannWhitneyResult:
     u_statistic: float
@@ -131,8 +127,7 @@ class MannWhitneyResult:
 
 def mann_whitney_u(a, b) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test of two independent samples."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise InvalidParameterError("mann_whitney_u requires non-empty samples")
     m, n = a.size, b.size
@@ -155,7 +150,7 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     if var <= 0:
         return MannWhitneyResult(u_a, 1.0, "normal")
     z = (u_a - mu) / math.sqrt(var)
-    return MannWhitneyResult(u_a, min(1.0, 2.0 * _normal_sf(abs(z))), "normal")
+    return MannWhitneyResult(u_a, min(1.0, math.erfc(abs(z) / math.sqrt(2.0))), "normal")
 
 
 @dataclass
@@ -172,14 +167,10 @@ def compare_arms(a, b) -> ArmComparison:
     ``median_ratio`` is median(a) / median(b); ratios below 1 mean arm a
     self-organizes faster.
     """
-    a = list(a)
-    b = list(b)
+    a, b = list(a), list(b)
     if not a or not b:
         raise InvalidParameterError("compare_arms requires non-empty samples")
     ma, mb = float(np.median(a)), float(np.median(b))
-    if mb == 0.0:
-        ratio = 1.0 if ma == 0.0 else float("inf")
-    else:
-        ratio = ma / mb
+    ratio = ma / mb if mb else (1.0 if ma == 0.0 else float("inf"))
     test = mann_whitney_u(a, b)
     return ArmComparison(ratio, test.u_statistic, test.p_value, test.method)

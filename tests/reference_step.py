@@ -1,14 +1,17 @@
 """The straightforward swarm iteration, kept as an oracle for ``engine.step``.
 
 ``reference_step`` recomputes the neighbourhood bests on every step,
-allocates every intermediate, writes every personal best and re-counts the
-hits, and writes the frozen agents' coefficients back in place: the plain
-reading of the model, with no cache and no buffer. It keeps C1 and C2 apart,
-draws their multipliers as two (N, D) blocks, and stores fresh stacked
-arrays back into the state. It evaluates the same floating-point expressions
-in the same order and draws the same random numbers as ``engine.step``, so
-the two must agree to the bit. It reads and writes a :class:`SwarmState`
-built by ``init_swarm``; give it a state of its own.
+allocates every intermediate, writes every personal best, and writes the
+frozen agents' coefficients back in place: the plain reading of the model,
+with no cache and no buffer. It keeps C1 and C2 apart, draws their
+multipliers as two (N, D) blocks, and stores fresh stacked arrays back into
+the state. It evaluates the same floating-point expressions in the same
+order and draws the same random numbers as ``engine.step``, so the two must
+agree to the bit. It reads and writes a :class:`SwarmState` built by
+``init_swarm``; give it a state of its own.
+
+``reference_hits`` reads the hit measures off a list of fitness rows with
+plain loops, as an oracle for the ones ``run_replicate`` derives.
 """
 
 import numpy as np
@@ -53,7 +56,7 @@ def reference_step(state):
     new_pos = (uniforms < probability).astype(BIT_DTYPE)
 
     if cfg.freeze_on_goal:
-        live = state.first_hit < 0
+        live = state.pbest_fitness > 0  # an agent has hit iff its personal best is 0
         frozen = ~live[:, None]
         new_pos = np.where(frozen, state.positions, new_pos)
         vel = np.where(frozen, state.velocities, vel)
@@ -92,13 +95,24 @@ def reference_step(state):
     state.coefficients = np.stack([belief, bias])
     state.bests = np.stack([pbest, gbest])
     state.work = np.stack([uniforms, probability])
-
-    # An agent has hit the goal iff its personal best is 0.
-    unhit = np.count_nonzero(state.pbest_fitness)
-    if unhit < state.unhit:
-        state.first_hit[(fit == 0) & (state.first_hit < 0)] = t
-        state.unhit = unhit
-        if unhit == 0:
-            state.group_convergence = t
     state.t = t
     return state
+
+
+def reference_hits(fitness_rows):
+    """``(first_hit, group_convergence, first_any_hit, final_best_fitness)`` of
+    the fitness rows at t = 0, 1, ...: an agent's first hit is its first t at
+    fitness 0 (-1 if none); the group converges at the last of them, if every
+    agent hits."""
+    first_hit = []
+    for agent in range(len(fitness_rows[0])):
+        hit = -1
+        for t, row in enumerate(fitness_rows):
+            if row[agent] == 0:
+                hit = t
+                break
+        first_hit.append(hit)
+    hits = [t for t in first_hit if t >= 0]
+    group = max(hits) if len(hits) == len(first_hit) else None
+    best = min(min(row) for row in fitness_rows)
+    return first_hit, group, min(hits) if hits else None, best

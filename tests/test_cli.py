@@ -63,6 +63,29 @@ class TestValidate:
         rc = main(["validate", "--config", str(tmp_path / "nope.json")])
         assert rc == 4
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("content", [
+        b'{"master_seed": 1, "out_dir": "r\xff"}',  # not UTF-8
+        b"[" * 100000,  # nested past the parser's recursion limit
+    ], ids=["not_utf8", "too_deep"])
+    def test_unreadable_json_exit_2(self, tmp_path, monkeypatch, capsys, command, content):
+        (tmp_path / "cfg.json").write_bytes(content)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", "cfg.json"]) == 2
+        assert "config is not valid UTF-8 JSON" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"master_seed": 1, "master_seed": 2}', "master_seed"),
+        ('{"master_seed": 1, "arms": [{"design": "siloed", "tendency": "reactive", '
+         '"design": "dynamic"}]}', "design"),
+    ], ids=["top_level", "in_arm"])
+    def test_duplicate_key_exit_2(self, tmp_path, capsys, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"duplicate config keys: {key}" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_outputs(self, tmp_path, capsys):
@@ -74,6 +97,19 @@ class TestRun:
         assert (out_dir / "arms.csv").exists()
         assert (out_dir / "comparisons.csv").exists()
         assert "median group convergence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trace,listed", [
+        ("none", ""), ("group", ", curves/"), ("full", ", curves/, traces/")])
+    def test_wrote_line_lists_every_output(self, tmp_path, capsys, trace, listed):
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", write_config(tmp_path, TINY), "--out", str(out_dir),
+                     "--trace", trace]) == 0
+        wrote = capsys.readouterr().out.splitlines()[0]
+        assert wrote == (f"wrote {out_dir}/summary.csv, arms.csv, comparisons.csv, goals.csv"
+                         + listed)
+        named = {"summary.csv", "arms.csv", "comparisons.csv", "goals.csv",
+                 *[name.strip(" /") for name in listed.split(",") if name]}
+        assert {path.name for path in out_dir.iterdir()} == named
 
     def test_overrides_change_outputs(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
@@ -156,6 +192,25 @@ class TestRun:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("override,field", [
+        # a label is a UTF-8 CSV cell and a path; a lone surrogate encodes as neither
+        ({"arms": [{"design": "siloed", "tendency": "reactive", "label": "a\ud800"}]},
+         "label"),
+        ({"out_dir": "x\ud800"}, "out_dir"),
+    ], ids=["label", "out_dir"])
+    def test_unencodable_text_exit_2(self, tmp_path, monkeypatch, capsys, override, field):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = main(["run", "--config", write_config(tmp_path, {**TINY, "out_dir": "out",
+                                                              **override})])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not any(cwd.iterdir())
+        # the file system's escape for an undecodable byte (here 0xff) is a valid out_dir
+        config = {**TINY, "out_dir": "x\udcff"}
+        assert main(["validate", "--config", write_config(tmp_path, config)]) == 0
 
     def test_fully_networked_arm_ignores_silo_count(self, tmp_path):
         # the default silo_count (5) exceeds 3 agents, but one silo is built

@@ -124,7 +124,7 @@ class TestStep:
             step(b)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
-        assert np.array_equal(a.first_hit, b.first_hit)
+        assert np.array_equal(a.pbest_fitness, b.pbest_fitness)
 
     def test_pbest_monotone_and_consistent(self):
         c = config(dim=10, agents=8)
@@ -258,6 +258,7 @@ class TestRunReplicate:
             assert ft[key].shape == (r.iterations_run + 1, c.agents)
         assert ft["inertia"].shape == (c.agents,)
         # first hits re-derivable from the per-agent fitness trace
+        assert r.first_hit.dtype == np.int64
         for agent in range(c.agents):
             zeros = np.flatnonzero(ft["fitness"][:, agent] == 0)
             expected = int(zeros[0]) if zeros.size else -1
@@ -303,8 +304,6 @@ class TestRunReplicate:
         s.fitness = np.zeros(5, dtype=s.fitness.dtype)
         s.pbest_fitness = np.zeros(5, dtype=s.pbest_fitness.dtype)
         s.velocities[:] = 0.0
-        s.first_hit[:] = 0
-        s.group_convergence = 0
         step(s)
         assert (s.pbest_fitness == 0).all()
         assert np.array_equal(s.bests[0], np.tile(s.goal, (5, 1)))
@@ -312,21 +311,19 @@ class TestRunReplicate:
         assert s.fitness.sum() > 0
 
     def test_freeze_on_goal_pins_position(self):
+        # an agent has hit once its personal best is 0; from then on it stays put
         c = config(dim=4, agents=3, max_iterations=200, freeze_on_goal=True)
-        seed_rng = replicate_rng(c.master_seed, 0)
-        state = init_swarm(c, seed_rng)
+        state = init_swarm(c, replicate_rng(c.master_seed, 0))
         frozen_positions = {}
-        for t in range(1, c.max_iterations + 1):
-            step(state)
-            for i in range(c.agents):
-                if state.first_hit[i] >= 0 and state.first_hit[i] < t:
-                    if i in frozen_positions:
-                        assert np.array_equal(state.positions[i],
-                                              frozen_positions[i])
-                if state.first_hit[i] == t:
-                    frozen_positions[i] = state.positions[i].copy()
-            if state.group_convergence is not None:
+        while True:
+            for i in np.flatnonzero(state.pbest_fitness == 0):
+                frozen_positions.setdefault(i, state.positions[i].copy())
+            if len(frozen_positions) == c.agents or state.t == c.max_iterations:
                 break
+            step(state)
+            for i, position in frozen_positions.items():
+                assert np.array_equal(state.positions[i], position)
+        assert len(frozen_positions) == c.agents
 
     def test_seed_column_matches_derivation(self):
         c = config()

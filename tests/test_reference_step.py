@@ -7,19 +7,21 @@ personal-best writes, its in-place velocity update, its (2, N, D) work buffer
 and its freeze path change no value, signed zeros included. The stacked
 arrays are compared whole: the bests include the neighbourhood bests the step
 used, and the work buffer ends holding the binarization uniforms and the bit
-probabilities.
+probabilities. The run stops once every personal best is 0; ``run_replicate``
+must then report the hits that :func:`reference_step.reference_hits` reads off
+the reference's own fitness rows.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import DesignKind, SimConfig, Tendency, init_swarm, step
+from orgswarm import DesignKind, SimConfig, Tendency, init_swarm, run_replicate, step
 from orgswarm.engine import replicate_rng
-from reference_step import reference_step
+from reference_step import reference_hits, reference_step
 
 FIELDS = ("positions", "velocities", "bests", "pbest_fitness", "fitness",
-          "coefficients", "feedback_ema", "first_hit", "work")
+          "coefficients", "feedback_ema", "work")
 
 
 @st.composite
@@ -51,8 +53,6 @@ def assert_same_bytes(engine, reference, t):
         assert got.dtype == want.dtype and got.shape == want.shape, (name, t)
         assert got.tobytes() == want.tobytes(), (name, t)
     assert np.array_equal(engine.assignment.silo_of, reference.assignment.silo_of), t
-    assert (engine.unhit, engine.group_convergence) == (
-        reference.unhit, reference.group_convergence), t
 
 
 def _config(**overrides):
@@ -81,9 +81,15 @@ def test_step_matches_reference_step(config, replicate):
     engine = init_swarm(config, replicate_rng(config.master_seed, replicate))
     reference = init_swarm(config, replicate_rng(config.master_seed, replicate))
     assert_same_bytes(engine, reference, 0)
-    for t in range(1, config.max_iterations + 1):
+    rows = [reference.fitness.tolist()]
+    while reference.pbest_fitness.any() and reference.t < config.max_iterations:
         step(engine)
         reference_step(reference)
-        assert_same_bytes(engine, reference, t)
-        if engine.group_convergence is not None:
-            break
+        assert_same_bytes(engine, reference, reference.t)
+        rows.append(reference.fitness.tolist())
+
+    result = run_replicate(config, replicate)
+    first_hit, group, first_any, best = reference_hits(rows)
+    assert result.first_hit.dtype == np.int64 and result.first_hit.tolist() == first_hit
+    assert (result.group_convergence, result.first_any_hit, result.iterations_run,
+            result.final_best_fitness) == (group, first_any, len(rows) - 1, best)

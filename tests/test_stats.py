@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orgswarm import aggregate_arm, compare_arms, mann_whitney_u, step
+from orgswarm.engine import _first_hits
 from orgswarm.errors import InvalidParameterError
 from orgswarm.stats import _u_tail_counts, censored_values
 from scripted import scripted_state
@@ -51,13 +52,17 @@ def brute_force_mann_whitney(a, b):
 
 
 def engine_first_hit(fitness_trace):
-    """The first hit the engine records for one agent whose fitness at
-    iterations 0, 1, ... follows ``fitness_trace`` (None when it never hits)."""
-    state = scripted_state([fitness_trace])
+    """The first hit the engine derives for one agent whose fitness at
+    iterations 0, 1, ... follows ``fitness_trace`` (None when it never hits),
+    from the fitness rows of a swarm scripted to follow it."""
+    state = scripted_state([fitness_trace], dim=10)
+    rows = [state.fitness]
     for _ in fitness_trace[1:]:
-        step(state)
-    hit = int(state.first_hit[0])
-    return hit if hit >= 0 else None
+        rows.append(step(state).fitness)
+    assert np.array(rows)[:, 0].tolist() == fitness_trace
+    hits = _first_hits(np.array(rows, dtype=np.int64))
+    assert hits.dtype == np.int64
+    return int(hits[0]) if hits[0] >= 0 else None
 
 
 class TestFirstHitIteration:

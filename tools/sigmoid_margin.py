@@ -75,7 +75,7 @@ def main() -> int:
         for i in range(cfg.replicates):
             replicate["rng"] = RememberingRng(engine.replicate_rng(cfg.master_seed, i))
             state = engine.init_swarm(cfg, replicate["rng"])
-            while state.group_convergence is None and state.t < cfg.max_iterations:
+            while np.count_nonzero(state.pbest_fitness) and state.t < cfg.max_iterations:
                 engine.step(state)
             rep_iters += state.t * cfg.agents * cfg.dim
         per_arm[arm.label] = seen["min_ulps"]
