@@ -39,7 +39,7 @@ from .engine import ReplicateResult, SimConfig, _param, invalid_fields, run_repl
 from .errors import ConfigError, InvariantViolation, is_int
 from .policies import Tendency
 from .stats import (ArmComparison, ArmSummary, aggregate_arm, censored_values,
-                    compare_arms, convergence_values)
+                    compare_arms, convergence_values, median_ratio)
 from .strategy import to_bitstring
 from .topology import DesignKind
 
@@ -295,9 +295,7 @@ def _block_map(workers: int):
 
 def _compare_pair(results_a, results_b) -> tuple[ArmComparison | None, float]:
     conv_a, conv_b = convergence_values(results_a), convergence_values(results_b)
-    cens_a, cens_b = censored_values(results_a), censored_values(results_b)
-    med_cb = float(np.median(cens_b))
-    censored_ratio = float(np.median(cens_a)) / med_cb if med_cb else float("nan")
+    censored_ratio = median_ratio(censored_values(results_a), censored_values(results_b))
     if not conv_a or not conv_b:
         return None, censored_ratio
     return compare_arms(conv_a, conv_b), censored_ratio

@@ -63,6 +63,31 @@ def _padded_curves(results: list[ReplicateResult]) -> tuple[np.ndarray, np.ndarr
     return best.mean(axis=0), mean.mean(axis=0)
 
 
+def _median(ordered: list) -> float:
+    """``np.median`` of a sorted sample: the middle value, or the midpoint of
+    the middle two, each summed from 0.0 as ``np.mean`` does."""
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[half]
+    return (0.0 + ordered[half - 1] + ordered[half]) / 2
+
+
+def _percentile(ordered: list, q: float) -> float:
+    """``np.percentile(·, q)`` of a sorted sample, numpy's linear method
+    (Hyndman & Fan type 7) step for step, as in numpy's ``_lerp``.
+
+    Past the last index numpy interpolates the last value with itself, at
+    weight ``v + 1``. Equal to numpy bit for bit, except for the sign of a
+    zero from a sample holding both 0.0 and -0.0: numpy's sign then depends
+    on where its unstable partition leaves those equal values.
+    """
+    v = (len(ordered) - 1) * (q / 100)
+    i = int(v) if v < len(ordered) - 1 else -1
+    g = v - i
+    a, b = ordered[i], ordered[i + 1 if i >= 0 else -1]
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
     """Summarize an arm's replicates.
 
@@ -72,8 +97,8 @@ def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
     """
     if not results:
         raise InvalidParameterError("aggregate_arm needs at least one result")
-    conv = convergence_values(results)
-    hits = [r.first_any_hit for r in results if r.first_any_hit is not None]
+    conv = sorted(convergence_values(results))
+    hits = sorted(r.first_any_hit for r in results if r.first_any_hit is not None)
     curve_best, curve_mean = _padded_curves(results)
     nan = float("nan")
     return ArmSummary(
@@ -81,11 +106,11 @@ def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
         n=len(results),
         successes=len(conv),
         success_rate=len(conv) / len(results),
-        median_group_convergence=float(np.median(conv)) if conv else nan,
+        median_group_convergence=_median(conv) if conv else nan,
         mean_group_convergence=float(np.mean(conv)) if conv else nan,
-        iqr_low=float(np.percentile(conv, 25)) if conv else nan,
-        iqr_high=float(np.percentile(conv, 75)) if conv else nan,
-        median_first_any_hit=float(np.median(hits)) if hits else nan,
+        iqr_low=_percentile(conv, 25) if conv else nan,
+        iqr_high=_percentile(conv, 75) if conv else nan,
+        median_first_any_hit=_median(hits) if hits else nan,
         curve_best=curve_best,
         curve_mean=curve_mean,
     )
@@ -161,16 +186,21 @@ class ArmComparison:
     method: str
 
 
+def median_ratio(a, b) -> float:
+    """median(a) / median(b) of two non-empty samples; 1 when both medians
+    are 0, inf when only median(b) is."""
+    ma, mb = _median(sorted(a)), _median(sorted(b))
+    return ma / mb if mb else (1.0 if ma == 0.0 else float("inf"))
+
+
 def compare_arms(a, b) -> ArmComparison:
     """Compare two arms' group-convergence samples (successful replicates only).
 
-    ``median_ratio`` is median(a) / median(b); ratios below 1 mean arm a
-    self-organizes faster.
+    ``median_ratio`` is :func:`median_ratio` of a and b; ratios below 1 mean
+    arm a self-organizes faster.
     """
     a, b = list(a), list(b)
     if not a or not b:
         raise InvalidParameterError("compare_arms requires non-empty samples")
-    ma, mb = float(np.median(a)), float(np.median(b))
-    ratio = ma / mb if mb else (1.0 if ma == 0.0 else float("inf"))
     test = mann_whitney_u(a, b)
-    return ArmComparison(ratio, test.u_statistic, test.p_value, test.method)
+    return ArmComparison(median_ratio(a, b), test.u_statistic, test.p_value, test.method)

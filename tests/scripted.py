@@ -38,8 +38,11 @@ class ScriptedRng:
 
 def scripted_state(fitness_traces, dim=8, **overrides):
     """A swarm, before step 1, in which agent i's fitness at step t will be
-    ``fitness_traces[i][t]`` (its first that many bits are set; the goal is 0)."""
+    ``fitness_traces[i][t]`` (its first that many bits are set; the goal is 0).
+    A fitness outside ``[0, dim]`` cannot be scripted and raises ValueError."""
     traces = np.asarray(fitness_traces)
+    if traces.min() < 0 or traces.max() > dim:
+        raise ValueError(f"scripted fitness must lie in [0, {dim}], got {traces.tolist()}")
     positions = (np.arange(dim) < traces.T[:, :, None]).astype(np.int8)
     cfg = dict(master_seed=1, design=DesignKind.FULLY_NETWORKED,
                tendency=Tendency.REACTIVE, dim=dim, agents=traces.shape[0])

@@ -87,6 +87,12 @@ def test_profile_records_faults_and_system_time(tmp_path):
     counts = json.loads(proc.stdout)
     assert counts["calls"]["engine.step"] == 5
     rusage = counts["rusage"]
-    assert sorted(rusage) == ["minor_faults", "system_s"]
+    assert sorted(rusage) == ["maxrss_growth_mb", "minor_faults", "system_s"]
     assert isinstance(rusage["minor_faults"], int) and rusage["minor_faults"] >= 0
     assert isinstance(rusage["system_s"], float) and rusage["system_s"] >= 0
+    assert isinstance(rusage["maxrss_growth_mb"], float) and rusage["maxrss_growth_mb"] >= 0
+    # run_experiment imported before the run; a one-worker run starts no pool
+    imported = counts["imported"]
+    assert imported == sorted(imported) and all(isinstance(m, str) for m in imported)
+    assert "orgswarm.experiment" not in imported
+    assert "concurrent.futures.process" not in imported

@@ -284,6 +284,21 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "False"
 
 
+def test_run_loads_no_masked_arrays(tmp_path):
+    # medians and quartiles of converged replicates are taken without numpy.ma
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from orgswarm.cli import main; "
+                               "rc = main(sys.argv[1:]); print('numpy.ma' in sys.modules); "
+                               "sys.exit(rc)",
+         "run", "--config", write_config(tmp_path, TINY), "--out", str(tmp_path / "out"),
+         "--workers", "1"],
+        capture_output=True, text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *arm_lines, loaded = proc.stdout.strip().splitlines()
+    assert any("success 0/" not in line for line in arm_lines[1:])  # some replicates converge
+    assert loaded == "False"
+
+
 def _run_help(argv, env=None):
     return subprocess.run(argv + ["--help"], capture_output=True, text=True,
                           env=env, timeout=60)

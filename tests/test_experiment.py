@@ -280,6 +280,20 @@ class TestRunExperiment:
             if conv:
                 assert summary.median_group_convergence == float(np.median(conv))
 
+    def test_zero_medians_give_one_ratio_rule(self, tmp_path):
+        # one agent on one bit: every replicate converges, most at t = 0, so every
+        # median is 0 and the censored samples are the converged ones
+        spec = parse_config_dict({"master_seed": 3, "dim": 1, "agents": 1, "replicates": 9,
+                                  "max_iterations": 5, "silo_count": 1, "workers": 1})
+        output = run_experiment(spec, out_dir=tmp_path)
+        assert all(s.successes == s.n and s.median_group_convergence == 0
+                   for s in output.summaries)
+        rows = (tmp_path / "comparisons.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 15
+        for row in rows:
+            cells = row.split(",")
+            assert cells[5] == cells[2] == "1", row
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

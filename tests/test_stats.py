@@ -1,14 +1,17 @@
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orgswarm import aggregate_arm, compare_arms, mann_whitney_u, step
 from orgswarm.engine import _first_hits
 from orgswarm.errors import InvalidParameterError
-from orgswarm.stats import _u_tail_counts, censored_values
+from orgswarm.stats import _median, _percentile, _u_tail_counts, censored_values, median_ratio
 from scripted import scripted_state
 
 
@@ -80,6 +83,12 @@ class TestFirstHitIteration:
         for extra in ([1], [0, 0], [9, 0, 3]):
             assert engine_first_hit(base + extra) == hit
 
+    @pytest.mark.parametrize("trace", [[5, 2, 0, 9], [3, -1]])
+    def test_impossible_script_rejected(self, trace):
+        # fitness 9 needs 9 wrong bits of 8; fitness -1 none
+        with pytest.raises(ValueError, match=r"\[0, 8\]"):
+            scripted_state([trace], dim=8)
+
 
 @dataclass
 class FakeResult:
@@ -132,6 +141,65 @@ class TestAggregateArm:
     def test_censored_values(self):
         vals = censored_values([FakeResult(10), FakeResult(None, max_iterations=100)])
         assert vals == [10, 100]
+
+
+def _bits(x) -> str:
+    """A float's IEEE 754 bits, so that -0.0 and 0.0 (or two NaNs) differ."""
+    return struct.pack("<d", x).hex()
+
+
+class TestOrderStatistics:
+    """The plain-Python median and percentile against numpy's, bit for bit."""
+
+    # the run passes integer samples only; |values| < 2**62 keeps numpy's
+    # int64 differences from wrapping
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=60),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60)))
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    @example([-0.0, 2.5, -0.0])
+    def test_equal_to_numpy(self, sample):
+        ordered = sorted(sample)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [np.median(sample), np.percentile(sample, 25), np.percentile(sample, 75)]
+        got = [_median(ordered), _percentile(ordered, 25), _percentile(ordered, 75)]
+        assert all(type(x) is float for x in got)
+        assert [_bits(x) for x in got] == [_bits(float(x)) for x in expected]
+
+    @pytest.mark.parametrize("sample,median,low,high", [
+        ([7], 7.0, 7.0, 7.0),
+        ([1, 2], 1.5, 1.25, 1.75),
+        ([3, 1, 2, 10], 2.5, 1.75, 4.75),
+        ([-0.0], 0.0, -0.0, -0.0),  # np.mean's sum starts at 0.0; _lerp keeps -0.0
+    ])
+    def test_hand_examples(self, sample, median, low, high):
+        ordered = sorted(sample)
+        got = _median(ordered), _percentile(ordered, 25), _percentile(ordered, 75)
+        assert [_bits(x) for x in got] == [_bits(x) for x in (median, low, high)]
+
+    def test_mixed_signed_zeros_equal_numpy_but_for_the_sign(self):
+        # the one known difference: with 0.0 and -0.0 in one sample, numpy's
+        # sign depends on where its unstable partition leaves the equal values,
+        # so the same three zeros in two orders give two signs
+        assert _bits(np.percentile([0.0, -0.0, -0.0], 75)) == _bits(-0.0)
+        assert _bits(np.percentile([-0.0, -0.0, 0.0], 75)) == _bits(0.0)
+        sample = [0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0]
+        assert _bits(np.percentile(sample, 75)) == _bits(-0.0)
+        assert _bits(_percentile(sorted(sample), 75)) == _bits(0.0)
+
+
+class TestMedianRatio:
+    @pytest.mark.parametrize("a,b,ratio", [
+        ([2, 4, 9], [8], 0.5),
+        ([0, 0, 5], [0, 1, 0], 1.0),
+        ([1, 3], [0], math.inf),
+        ([0], [2, 6], 0.0),
+    ])
+    def test_zero_median_rule(self, a, b, ratio):
+        assert median_ratio(a, b) == ratio
+        assert compare_arms(a, b).median_ratio == ratio
 
 
 class TestMannWhitney:

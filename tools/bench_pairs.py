@@ -24,9 +24,11 @@ and ``median_change_<metric>`` (change median / parent median - 1).
 
 ``--profile`` runs ``run_experiment`` once per side under cProfile, on the
 first seed's config, and records each orgswarm function's call count, the
-calls of ``numpy.array`` and of ``ndarray.copy`` per orgswarm caller, and
-the minor page faults and system CPU seconds spent during the run
-(``resource.getrusage`` of the process and of the workers it waited for).
+calls of ``numpy.array`` and of ``ndarray.copy`` per orgswarm caller, the
+minor page faults and system CPU seconds spent during the run
+(``resource.getrusage`` of the process and of the workers it waited for),
+the growth of the process's own ``ru_maxrss`` in MB across the run, and the
+sorted names of the modules first imported during it.
 
 ``--tier1 PAIRS`` times the Tier-1 verify command (:data:`TIER1`, with
 ``PYTHONPATH`` led by that side's ``src``) from each side's root instead,
@@ -74,10 +76,13 @@ profiler = cProfile.Profile()
 def usage():  # (minor page faults, system CPU s) of this process and its waited-for workers
     both = [resource.getrusage(w) for w in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
     return sum(u.ru_minflt for u in both), sum(u.ru_stime for u in both)
+maxrss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
 faults, system_s = usage()
+rss, loaded = maxrss(), set(sys.modules)
 with tempfile.TemporaryDirectory() as out:
     profiler.runcall(run_experiment, spec, out)
 faults_after, system_s_after = usage()
+rss_after, imported = maxrss(), sorted(set(sys.modules) - loaded)
 ours = lambda path: "/orgswarm/" in path.replace("\\", "/")
 # numpy builtins whose calls are counted per orgswarm caller
 watched = {"<built-in method numpy.array>": "np_array_callers",
@@ -95,8 +100,10 @@ for (path, _, name), (_, ncalls, _, _, callers) in pstats.Stats(profiler).stats.
                 key = f"{Path(p).stem}.{n}"
                 by_caller[key] = by_caller.get(key, 0) + c[1]
 counts["rusage"] = {"minor_faults": faults_after - faults,
-                    "system_s": round(system_s_after - system_s, 6)}
-print(json.dumps({k: dict(sorted(v.items())) for k, v in counts.items()}))
+                    "system_s": round(system_s_after - system_s, 6),
+                    "maxrss_growth_mb": round((rss_after - rss) / 1024, 3)}
+print(json.dumps({**{k: dict(sorted(v.items())) for k, v in counts.items()},
+                  "imported": imported}))
 """
 
 

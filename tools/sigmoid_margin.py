@@ -3,18 +3,19 @@
     python3 tools/sigmoid_margin.py [--seed 20260808] [--replicates 200]
 
 Runs the default grid (3 designs x 2 tendencies) one replicate at a time
-through ``init_swarm`` and ``step``, with ``run_replicate``'s stopping rule,
-and prints one JSON object: the smallest |u - p| over every binarization
-``u < p``, in ulps of p (``np.spacing(p)``), overall and per arm. ``sigmoid``
-is the one operation whose last bits depend on the host (numpy's SIMD
-dispatch level; up to 2 ulp apart on the paths compared in the README), so a
-position bit can differ between hosts only where this margin is that small.
+through ``run_replicate`` and prints one JSON object: the smallest |u - p|
+over every binarization ``u < p``, in ulps of p (``np.spacing(p)``), overall
+and per arm. ``sigmoid`` is the one operation whose last bits depend on the
+host (numpy's SIMD dispatch level; up to 2 ulp apart on the paths compared in
+the README), so a position bit can differ between hosts only where this
+margin is that small.
 
-How it measures: a proxy around each replicate's generator remembers the
-last block that ``random(out=...)`` filled, which ``step`` draws just before
-the probabilities, and a wrapper around ``orgswarm.engine.sigmoid`` compares
-that block with the probabilities it returns. The proxy hands every draw
-through unchanged, so each replicate follows its usual trajectory.
+How it measures: ``orgswarm.engine.replicate_rng`` is replaced by one that
+wraps each replicate's generator in a proxy remembering the last block that
+``random(out=...)`` filled, which ``step`` draws just before the
+probabilities, and a wrapper around ``orgswarm.engine.sigmoid`` compares that
+block with the probabilities it returns. The proxy hands every draw through
+unchanged, so each replicate follows its usual trajectory.
 """
 
 from __future__ import annotations
@@ -57,8 +58,12 @@ def main() -> int:
     args = parser.parse_args()
     spec = parse_config_dict({"master_seed": args.seed, "replicates": args.replicates})
 
-    sigmoid, replicate = engine.sigmoid, {}
+    sigmoid, replicate_rng, replicate = engine.sigmoid, engine.replicate_rng, {}
     seen = {"min_ulps": np.inf, "binarizations": 0}
+
+    def remembering_rng(master_seed, replicate_index):
+        replicate["rng"] = RememberingRng(replicate_rng(master_seed, replicate_index))
+        return replicate["rng"]
 
     def measured_sigmoid(x, out=None):
         p = sigmoid(x, out=out)
@@ -67,17 +72,13 @@ def main() -> int:
         seen["binarizations"] += p.size
         return p
 
-    engine.sigmoid = measured_sigmoid
+    engine.replicate_rng, engine.sigmoid = remembering_rng, measured_sigmoid
     start, per_arm, rep_iters = time.perf_counter(), {}, 0
     for arm in spec.arms:
         cfg = arm.config
         seen["min_ulps"] = np.inf
         for i in range(cfg.replicates):
-            replicate["rng"] = RememberingRng(engine.replicate_rng(cfg.master_seed, i))
-            state = engine.init_swarm(cfg, replicate["rng"])
-            while np.count_nonzero(state.pbest_fitness) and state.t < cfg.max_iterations:
-                engine.step(state)
-            rep_iters += state.t * cfg.agents * cfg.dim
+            rep_iters += engine.run_replicate(cfg, i).iterations_run * cfg.agents * cfg.dim
         per_arm[arm.label] = seen["min_ulps"]
     if seen["binarizations"] != rep_iters:
         raise SystemExit(f"saw {seen['binarizations']} binarizations, expected {rep_iters}")
