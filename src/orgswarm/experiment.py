@@ -38,8 +38,7 @@ import numpy as np
 from .engine import ReplicateResult, SimConfig, _param, invalid_fields, run_replicate
 from .errors import ConfigError, InvariantViolation, is_int
 from .policies import Tendency
-from .stats import (ArmComparison, ArmSummary, aggregate_arm, censored_values,
-                    compare_arms, convergence_values, median_ratio)
+from .stats import ArmComparison, ArmSummary, aggregate_arm, compare_arms, median_ratio
 from .strategy import to_bitstring
 from .topology import DesignKind
 
@@ -230,7 +229,7 @@ class ExperimentOutput:
     spec: ExperimentSpec
     results: dict[str, list[ReplicateResult]]
     summaries: list[ArmSummary]
-    comparisons: list[tuple[str, str, ArmComparison, float]]
+    comparisons: list[tuple[str, str, ArmComparison | None, float]]
     out_dir: Path
 
 
@@ -269,8 +268,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
                 _write_traces(out / "traces" / arm.label, results[arm.label])
 
     summaries = [aggregate_arm(results[label], label) for label in results]
-    comparisons = [(sa, sb, *_compare_pair(results[sa], results[sb]))
-                   for sa, sb in itertools.combinations(results, 2)]
+    comparisons = [(a.label, b.label, *_compare_pair(a, b))
+                   for a, b in itertools.combinations(summaries, 2)]
 
     output = ExperimentOutput(spec, results, summaries, comparisons, out)
     _write_tables(output)
@@ -293,12 +292,11 @@ def _block_map(workers: int):
         raise InvariantViolation(f"a worker process died: {e}") from e
 
 
-def _compare_pair(results_a, results_b) -> tuple[ArmComparison | None, float]:
-    conv_a, conv_b = convergence_values(results_a), convergence_values(results_b)
-    censored_ratio = median_ratio(censored_values(results_a), censored_values(results_b))
-    if not conv_a or not conv_b:
-        return None, censored_ratio
-    return compare_arms(conv_a, conv_b), censored_ratio
+def _compare_pair(a: ArmSummary, b: ArmSummary) -> tuple[ArmComparison | None, float]:
+    """The rank test of two arms' converged samples (None unless both have
+    one) and the median ratio of their censored samples."""
+    comparison = compare_arms(a.converged, b.converged) if a.converged and b.converged else None
+    return comparison, median_ratio(a.censored, b.censored)
 
 
 def _write_tables(output: ExperimentOutput) -> None:

@@ -4,13 +4,16 @@ The Mann-Whitney U here is self-contained: an exact tail probability from
 the classical no-ties count recurrence when both sides have at most 20
 observations and the pooled sample is tie-free, otherwise a tie-corrected
 normal approximation (no continuity correction, so identical samples give
-p = 1 exactly). U is reported for the first sample, counting pairs where it
-exceeds the second (ties count 1/2).
+p = 1 exactly). U is reported for the first sample: the pairs where it
+exceeds the second (ties count 1/2), counted by bisecting the sorted
+samples. A NaN in either sample is rejected. numpy serves only the curves.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,16 +40,8 @@ class ArmSummary:
     median_first_any_hit: float
     curve_best: np.ndarray                   # (T,), iterations 1..T
     curve_mean: np.ndarray
-
-
-def convergence_values(results: list[ReplicateResult]) -> list[int]:
-    return [r.group_convergence for r in results if r.group_convergence is not None]
-
-
-def censored_values(results: list[ReplicateResult]) -> list[int]:
-    """Group convergence with never-converged replicates counted at the budget."""
-    return [r.group_convergence if r.group_convergence is not None
-            else r.max_iterations for r in results]
+    converged: list[int]                     # sorted, converged replicates only
+    censored: list[int]                      # sorted, never-converged at max_iterations
 
 
 def _padded_curves(results: list[ReplicateResult]) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +92,8 @@ def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
     """
     if not results:
         raise InvalidParameterError("aggregate_arm needs at least one result")
-    conv = sorted(convergence_values(results))
+    conv = sorted(r.group_convergence for r in results if r.group_convergence is not None)
+    censored = sorted(conv + [r.max_iterations for r in results if r.group_convergence is None])
     hits = sorted(r.first_any_hit for r in results if r.first_any_hit is not None)
     curve_best, curve_mean = _padded_curves(results)
     nan = float("nan")
@@ -107,21 +103,15 @@ def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
         successes=len(conv),
         success_rate=len(conv) / len(results),
         median_group_convergence=_median(conv) if conv else nan,
-        mean_group_convergence=float(np.mean(conv)) if conv else nan,
+        mean_group_convergence=sum(conv) / len(conv) if conv else nan,
         iqr_low=_percentile(conv, 25) if conv else nan,
         iqr_high=_percentile(conv, 75) if conv else nan,
         median_first_any_hit=_median(hits) if hits else nan,
         curve_best=curve_best,
         curve_mean=curve_mean,
+        converged=conv,
+        censored=censored,
     )
-
-
-def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fractional ranks (ties get the mean rank) and per-value tie counts."""
-    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
-    upper = np.cumsum(counts)
-    mid = upper - (counts - 1) / 2.0
-    return mid[inverse], counts
 
 
 @lru_cache(maxsize=None)
@@ -151,16 +141,20 @@ class MannWhitneyResult:
 
 
 def mann_whitney_u(a, b) -> MannWhitneyResult:
-    """Two-sided Mann-Whitney U test of two independent samples."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise InvalidParameterError("mann_whitney_u requires non-empty samples")
-    m, n = a.size, b.size
-    ranks, tie_counts = _midranks(np.concatenate([a, b]))
-    u_a = float(ranks[:m].sum() - m * (m + 1) / 2.0)
+    """Two-sided Mann-Whitney U test of two independent samples.
 
-    tie_free = bool((tie_counts == 1).all())
-    if tie_free and m <= EXACT_MAX_N and n <= EXACT_MAX_N:
+    Each term of U is a half-integer, so the float sum is exact.
+    """
+    a, b = sorted(map(float, a)), sorted(map(float, b))
+    if not a or not b:
+        raise InvalidParameterError("mann_whitney_u requires non-empty samples")
+    if any(math.isnan(x) for x in a + b):
+        raise InvalidParameterError("mann_whitney_u requires samples without NaN")
+    m, n = len(a), len(b)
+    u_a = sum(bisect_left(b, x) + (bisect_right(b, x) - bisect_left(b, x)) / 2 for x in a)
+
+    tie_counts = Counter(a + b).values()
+    if len(tie_counts) == m + n and m <= EXACT_MAX_N and n <= EXACT_MAX_N:
         counts = _u_tail_counts(m, n)
         total = sum(counts)
         u = int(round(u_a))
@@ -170,7 +164,7 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
 
     mu = m * n / 2.0
     total_n = m + n
-    tie_term = float(((tie_counts ** 3) - tie_counts).sum()) / (total_n * (total_n - 1))
+    tie_term = sum(t ** 3 - t for t in tie_counts) / (total_n * (total_n - 1))
     var = m * n / 12.0 * ((total_n + 1) - tie_term)
     if var <= 0:
         return MannWhitneyResult(u_a, 1.0, "normal")
@@ -200,7 +194,5 @@ def compare_arms(a, b) -> ArmComparison:
     arm a self-organizes faster.
     """
     a, b = list(a), list(b)
-    if not a or not b:
-        raise InvalidParameterError("compare_arms requires non-empty samples")
     test = mann_whitney_u(a, b)
     return ArmComparison(median_ratio(a, b), test.u_statistic, test.p_value, test.method)

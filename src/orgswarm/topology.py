@@ -41,10 +41,6 @@ class SiloAssignment:
     order: np.ndarray
     starts: np.ndarray
 
-    @property
-    def silo_count(self) -> int:
-        return self.starts.size
-
 
 def build_assignment(design: DesignKind, silo_count: int, agent_count: int,
                      rng: np.random.Generator) -> SiloAssignment:

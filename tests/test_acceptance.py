@@ -18,7 +18,6 @@ from orgswarm import (DesignKind, SimConfig, Tendency, clamp_velocity, init_swar
                       mann_whitney_u, parse_config_dict, run_experiment, run_replicate,
                       step)
 from orgswarm.engine import replicate_rng
-from orgswarm.stats import convergence_values
 from orgswarm.topology import build_assignment, reshuffle
 
 ACCEPTANCE_SEED = 20260808
@@ -39,8 +38,7 @@ def default_grid(tmp_path_factory):
     start = time.perf_counter()
     output = run_experiment(spec, out_dir=out_dir)
     elapsed = time.perf_counter() - start
-    conv = {label: convergence_values(results)
-            for label, results in output.results.items()}
+    conv = {s.label: s.converged for s in output.summaries}
     return output, conv, elapsed
 
 
@@ -299,14 +297,14 @@ def test_criterion_4_statistics_oracle():
 # criteria 5-7: comparative orderings on the default grid
 
 def _sweep(out_dir, arms: dict[str, dict], replicates: int = 100) -> dict[str, list[int]]:
-    """The converged replicates' group convergence for each labelled arm, run
-    as one spec at the acceptance seed: trace none, on every core."""
+    """The converged replicates' group convergence, sorted, for each labelled
+    arm, run as one spec at the acceptance seed: trace none, on every core."""
     spec = parse_config_dict({
         "master_seed": ACCEPTANCE_SEED, "replicates": replicates, "trace": "none",
         "workers": None, "out_dir": str(out_dir),
         "arms": [{"label": label, **arm} for label, arm in arms.items()]})
     output = run_experiment(spec)
-    return {label: convergence_values(output.results[label]) for label in arms}
+    return {s.label: s.converged for s in output.summaries}
 
 
 def _r_sweep(out_dir, tendency: str) -> dict[int, list[int]]:
@@ -326,7 +324,7 @@ def test_sweep_arm_samples_equal_run_replicate(tmp_path):
                     tendency=Tendency.PERCEPTIVE, silo_count=5, reshuffle_interval=5)
     serial = [r.group_convergence for r in (run_replicate(cfg, i) for i in range(30))
               if r.group_convergence is not None]
-    assert swept == serial and len(serial) > 1
+    assert swept == sorted(serial) and len(serial) > 1
 
 
 def test_criterion_5_reactive_design_ordering(default_grid, tmp_path):

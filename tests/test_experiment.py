@@ -112,7 +112,7 @@ class TestParseConfig:
                                   "arms": [{"design": "fully_networked",
                                             "tendency": "reactive"}]})
         c = spec.arms[0].config
-        assert init_swarm(c, replicate_rng(c.master_seed, 0)).assignment.silo_count == 1
+        assert init_swarm(c, replicate_rng(c.master_seed, 0)).assignment.starts.size == 1
 
     def test_round_trip(self):
         spec = parse_config_dict(dict(TINY))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from orgswarm import aggregate_arm, compare_arms, mann_whitney_u, step
 from orgswarm.engine import _first_hits
 from orgswarm.errors import InvalidParameterError
-from orgswarm.stats import _median, _percentile, _u_tail_counts, censored_values, median_ratio
+from orgswarm.stats import EXACT_MAX_N, _median, _percentile, _u_tail_counts, median_ratio
 from scripted import scripted_state
 
 
@@ -139,8 +139,36 @@ class TestAggregateArm:
         assert s.curve_best.tolist() == [0] * 6 and s.curve_mean.tolist() == [3.0] * 6
 
     def test_censored_values(self):
-        vals = censored_values([FakeResult(10), FakeResult(None, max_iterations=100)])
-        assert vals == [10, 100]
+        # a never-converged replicate sorts last at the budget, level with one
+        # that converged exactly at it
+        s = aggregate_arm([FakeResult(None), FakeResult(40), FakeResult(100),
+                           FakeResult(10)], "arm")
+        assert s.converged == [10, 40, 100]
+        assert s.censored == [10, 40, 100, 100]
+
+
+def numpy_mann_whitney(a, b):
+    """Reference U, p and method from numpy midranks: ``np.unique`` ranks
+    (ties get the mean rank), U from the first sample's rank sum, and the
+    tie term from the per-value counts."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    m, n = a.size, b.size
+    _, inverse, counts = np.unique(np.concatenate([a, b]), return_inverse=True,
+                                   return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    u_a = float(ranks[:m].sum() - m * (m + 1) / 2.0)
+    if (counts == 1).all() and m <= EXACT_MAX_N and n <= EXACT_MAX_N:
+        tail = _u_tail_counts(m, n)
+        u = int(round(u_a))
+        u_lo, u_hi = min(u, m * n - u), max(u, m * n - u)
+        p = (sum(tail[:u_lo + 1]) + sum(tail[u_hi:])) / sum(tail)
+        return u_a, min(1.0, p), "exact"
+    tie_term = float(((counts ** 3) - counts).sum()) / ((m + n) * (m + n - 1))
+    var = m * n / 12.0 * ((m + n + 1) - tie_term)
+    if var <= 0:
+        return u_a, 1.0, "normal"
+    z = (u_a - m * n / 2.0) / math.sqrt(var)
+    return u_a, min(1.0, math.erfc(abs(z) / math.sqrt(2.0))), "normal"
 
 
 def _bits(x) -> str:
@@ -271,6 +299,29 @@ class TestMannWhitney:
         a = rng.normal(0, 1, 40)
         b = rng.normal(5, 1, 40)
         assert mann_whitney_u(a, b).p_value < 1e-6
+
+    @pytest.mark.parametrize("a,b", [([1.0, math.nan], [2.0, math.nan, 3.0]),
+                                     ([1.0, 2.0], [math.nan]), ([math.nan], [1.0])])
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            mann_whitney_u(a, b)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.sampled_from([
+        st.integers(0, 4),  # dense ties
+        st.integers(-2 ** 40, 2 ** 40),
+        st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                  st.floats(allow_nan=False)),
+    ]).flatmap(lambda values: st.tuples(st.lists(values, min_size=1, max_size=60),
+                                        st.lists(values, min_size=1, max_size=60))))
+    @example(([0.0, -0.0, 1.0], [-0.0, 2.0]))
+    @example(([math.inf, -math.inf], [math.inf, 0.0]))
+    def test_equal_to_numpy_midranks(self, samples):
+        a, b = samples
+        got = mann_whitney_u(a, b)
+        u_ref, p_ref, method_ref = numpy_mann_whitney(a, b)
+        assert [_bits(got.u_statistic), _bits(got.p_value), got.method] == [
+            _bits(u_ref), _bits(p_ref), method_ref]
 
     def test_all_tied_degenerate_p_one(self):
         r = mann_whitney_u([7, 7, 7], [7, 7])

@@ -12,7 +12,7 @@ def rng(seed=0):
 
 
 def sizes(assignment):
-    return np.bincount(assignment.silo_of, minlength=assignment.silo_count)
+    return np.bincount(assignment.silo_of, minlength=assignment.starts.size)
 
 
 def references(assignment, positions, fitnesses):
@@ -24,7 +24,7 @@ def references(assignment, positions, fitnesses):
 class TestBuildAssignment:
     def test_fully_networked_single_silo(self):
         a = build_assignment(DesignKind.FULLY_NETWORKED, 1, 20, rng())
-        assert a.silo_count == 1
+        assert a.starts.size == 1
         assert (a.silo_of == 0).all()
 
     def test_balanced_partition_even(self):
@@ -39,7 +39,7 @@ class TestBuildAssignment:
         a = build_assignment(DesignKind.SILOED, 4, 18, rng(3))
         assert sorted(a.order.tolist()) == list(range(18))
         bounds = [*a.starts.tolist(), 18]
-        for silo in range(a.silo_count):
+        for silo in range(a.starts.size):
             assert (a.silo_of[a.order[bounds[silo]:bounds[silo + 1]]] == silo).all()
 
     def test_too_many_silos_rejected(self):
@@ -60,7 +60,7 @@ class TestReshuffle:
         a = build_assignment(DesignKind.DYNAMIC, 5, 20, rng(1))
         b = reshuffle(a, rng(2))
         assert sorted(sizes(b).tolist()) == sorted(sizes(a).tolist())
-        assert b.silo_count == a.silo_count
+        assert b.starts.size == a.starts.size
 
     def test_deterministic(self):
         a = build_assignment(DesignKind.SILOED, 5, 20, rng(1))
@@ -189,7 +189,7 @@ class TestAssignmentInvariants:
 def brute_force_leaders(assignment, fitnesses):
     """Per silo, the lowest agent index among the silo's fittest agents."""
     leaders = []
-    for silo in range(assignment.silo_count):
+    for silo in range(assignment.starts.size):
         members = [i for i in range(assignment.silo_of.size)
                    if assignment.silo_of[i] == silo]
         best = min(fitnesses[i] for i in members)
