@@ -79,9 +79,10 @@ def _positive(default):
 
 
 def _pair(default):
-    return _param("[low, high] pair of reals with low <= high",
+    return _param("[low, high] pair of reals with low <= high and a finite high - low",
                   lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
-                             and all(map(is_real, v)) and v[0] <= v[1]), default)
+                             and all(map(is_real, v)) and v[0] <= v[1]
+                             and is_real(float(v[1]) - float(v[0]))), default)
 
 
 def _flag(default):

@@ -6,8 +6,8 @@ no ``arms`` list the standard 3 designs x 2 tendencies grid is expanded. One
 check, :meth:`ExperimentSpec.validate`, serves the parser and ``run_experiment``.
 
 Each arm runs as the same blocks of 25 replicates at every worker count,
-through ``map`` at one worker and a process pool's ``map`` otherwise; an
-arm's per-agent traces are written before the next arm's results are taken.
+through ``map`` at one worker and a process pool's ``map`` otherwise. A block
+writes each replicate's per-agent trace as it ends: no full trace crosses the pool.
 
 Outputs go through one writer, ``_write_csv``, and one cell rule, ``_CELL``:
 an int column prints with ``%d``, a float column with ``%.6g`` (the text of
@@ -196,10 +196,24 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
             **{k: getattr(spec, k) for k in _SPEC_KEYS}, "arms": arms}
 
 
-def _run_block(config: SimConfig, start: int, full: bool) -> list[ReplicateResult]:
-    """Replicates ``start .. start + _BLOCK - 1`` of one arm, in index order."""
-    return [run_replicate(config, i, full=full)
-            for i in range(start, min(start + _BLOCK, config.replicates))]
+def _run_block(config: SimConfig, start: int, trace_dir: Path | None) -> list[ReplicateResult]:
+    """Replicates ``start .. start + _BLOCK - 1`` of one arm, in index order. With
+    ``trace_dir`` each one's per-agent trace file is written there as it ends and
+    its full trace dropped, so no full trace outlives its replicate or leaves the block."""
+    if trace_dir is not None:  # a trace file's header and row formats around its W_* cells
+        header = ",".join(["iteration", "best_fitness", "mean_fitness"] + [
+            f"{column}{i}" for column in ("fitness_of_agent_", "silo_of_agent_", "W_", "C1_",
+                                          "C2_") for i in range(config.agents)])
+        before_w = _row_format((int, int, float, *[int] * (2 * config.agents)))
+        after_w = _row_format([float] * (2 * config.agents))
+    results = []
+    for i in range(start, min(start + _BLOCK, config.replicates)):
+        r = run_replicate(config, i, full=trace_dir is not None)
+        if trace_dir is not None:
+            _write_trace(trace_dir / f"replicate_{i}.csv", r, header, before_w, after_w)
+            r.full_trace = None  # in place: a wrapper of run_replicate may have tagged r
+        results.append(r)
+    return results
 
 
 _CELL = {int: "%d", float: "%.6g", str: "%s"}  # the cell rule: %-conversion by type
@@ -245,27 +259,22 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     if out_dir is not None:
         spec = replace(spec, out_dir=str(out_dir))
     spec.validate()
-    full = spec.trace == "full"
     arms = sorted(spec.arms, key=lambda arm: arm.label)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    starts = [(arm.config, start) for arm in arms
+    trace_dirs = {arm.label: out / "traces" / arm.label for arm in arms if spec.trace == "full"}
+    for trace_dir in trace_dirs.values():  # made before any block runs, so no worker races
+        trace_dir.mkdir(parents=True, exist_ok=True)
+    blocks = [(arm.label, arm.config, start, trace_dirs.get(arm.label)) for arm in arms
               for start in range(0, arm.config.replicates, _BLOCK)]
+    labels, *columns = zip(*blocks)
     cpu = os.cpu_count() or 1
-    workers = min(spec.workers or cpu, cpu, len(starts))
-    results: dict[str, list[ReplicateResult]] = {}
-    with _block_map(workers) as block_map:
-        # Blocks come back in submission order, so each arm's results arrive
-        # in replicate order; at trace "full" an arm's traces are written and
-        # dropped before the next arm's blocks are taken.
-        blocks = block_map(_run_block, *zip(*starts), [full] * len(starts))
-        for arm in arms:
-            n_blocks = len(range(0, arm.config.replicates, _BLOCK))
-            results[arm.label] = [r for block in itertools.islice(blocks, n_blocks)
-                                  for r in block]
-            if full:
-                _write_traces(out / "traces" / arm.label, results[arm.label])
+    workers = min(spec.workers or cpu, cpu, len(blocks))
+    results: dict[str, list[ReplicateResult]] = {arm.label: [] for arm in arms}
+    with _block_map(workers) as block_map:  # blocks come back in submission order
+        for label, block in zip(labels, block_map(_run_block, *columns)):
+            results[label] += block
 
     summaries = [aggregate_arm(results[label], label) for label in results]
     comparisons = [(a.label, b.label, *_compare_pair(a, b))
@@ -335,26 +344,16 @@ def _write_tables(output: ExperimentOutput) -> None:
                        zip(itertools.count(1), s.curve_best.tolist(), s.curve_mean.tolist()))
 
 
-def _write_traces(trace_dir: Path, arm_results: list[ReplicateResult]) -> None:
-    """One per-agent trace file per replicate, then drops its full trace; each
-    file's row format holds the replicate's fixed ``W_*`` (inertia) cells."""
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    agents = arm_results[0].full_trace["fitness"].shape[1]
-    header = ",".join(["iteration", "best_fitness", "mean_fitness"] + [
-        f"{column}{i}" for column in ("fitness_of_agent_", "silo_of_agent_", "W_", "C1_", "C2_")
-        for i in range(agents)])
-    before_w = _row_format((int, int, float, *[int] * (2 * agents)))
-    w_cells = _row_format([float] * agents)
-    after_w = _row_format([float] * (2 * agents))
-    for r in arm_results:
-        ft = r.full_trace
-        fmt = f"{before_w},{w_cells % tuple(ft['inertia'].tolist())},{after_w}"
-        columns = zip(itertools.count(), r.trace_best.tolist(), r.trace_mean.tolist(),
-                      np.hstack([ft["fitness"], ft["silo"]]),
-                      np.hstack([ft["self_belief"], ft["prestige_bias"]]))
-        _write_csv(trace_dir / f"replicate_{r.replicate_index}.csv", header, fmt,
-                   ((t, best, mean, *ints.tolist(), *floats.tolist())
-                    for t, best, mean, ints, floats in columns),
-                   comment=f"goal={to_bitstring(r.goal)}")
-        r.full_trace = None
-
+def _write_trace(path: Path, r: ReplicateResult, header: str, before_w: str,
+                 after_w: str) -> None:
+    """One replicate's per-agent trace file; its row format holds the
+    replicate's fixed ``W_*`` (inertia) cells between ``before_w`` and ``after_w``."""
+    ft = r.full_trace
+    w_cells = ",".join([_CELL[float] % w for w in ft["inertia"].tolist()])
+    columns = zip(itertools.count(), r.trace_best.tolist(), r.trace_mean.tolist(),
+                  np.hstack([ft["fitness"], ft["silo"]]),
+                  np.hstack([ft["self_belief"], ft["prestige_bias"]]))
+    _write_csv(path, header, f"{before_w},{w_cells},{after_w}",
+               ((t, best, mean, *ints.tolist(), *floats.tolist())
+                for t, best, mean, ints, floats in columns),
+               comment=f"goal={to_bitstring(r.goal)}")

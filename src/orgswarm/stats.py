@@ -46,16 +46,16 @@ class ArmSummary:
 
 def _padded_curves(results: list[ReplicateResult]) -> tuple[np.ndarray, np.ndarray]:
     """Mean over replicates at t = 1..horizon; a replicate that stopped early
-    (at t = 0 too) carries its last value on."""
+    (at t = 0 too) carries its last value on. The rows are summed in result order, then
+    divided by the count, as ``mean(axis=0)`` reduces their C-ordered stack: same bits."""
     horizon = max(r.max_iterations for r in results)
-    best = np.empty((len(results), horizon))
-    mean = np.empty((len(results), horizon))
+    best, mean = np.zeros(horizon), np.zeros(horizon)
     steps = np.arange(1, horizon + 1)
-    for i, r in enumerate(results):
+    for r in results:
         t = np.minimum(steps, r.trace_best.size - 1)
-        best[i] = r.trace_best[t]
-        mean[i] = r.trace_mean[t]
-    return best.mean(axis=0), mean.mean(axis=0)
+        best += r.trace_best[t]
+        mean += r.trace_mean[t]
+    return best / len(results), mean / len(results)
 
 
 def _median(ordered: list) -> float:

@@ -184,6 +184,9 @@ class TestRun:
                     "reshuffle_interval": [1, 2]}]}, "reshuffle_interval"),
         # mkdir would raise ValueError (embedded null byte)
         ({"out_dir": "out\0dir"}, "out_dir"),
+        # each bound is finite, but Generator.uniform's high - low overflows
+        ({"coeff_min": -1e308, "coeff_max": 1e308, "self_belief_init": [-1e308, 1e308]},
+         "self_belief_init"),
     ])
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys, override, field):
         out_dir = tmp_path / "out"

@@ -12,8 +12,8 @@ import pytest
 import orgswarm
 from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
                       parse_config, parse_config_dict, run_experiment)
-from orgswarm.engine import replicate_rng
-from orgswarm.experiment import Arm, ExperimentSpec, serialize_spec
+from orgswarm.engine import replicate_rng, run_replicate
+from orgswarm.experiment import Arm, ExperimentSpec, _run_block, serialize_spec
 
 TINY = {
     "master_seed": 20260808,
@@ -454,3 +454,22 @@ class TestTraceLevels:
         # replicate results keep only the light fields afterwards
         for results in output.results.values():
             assert all(r.full_trace is None for r in results)
+
+    @pytest.mark.parametrize("traced", [True, False], ids=["trace_dir", "no_trace_dir"])
+    def test_run_block_writes_exactly_its_replicates_traces(self, tmp_path, monkeypatch,
+                                                             traced):
+        # the last, short block of a 30-replicate arm: replicates 25..29
+        config = parse_config_dict({**TINY, "replicates": 30}).arms[0].config
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        monkeypatch.chdir(trace_dir)
+        results = _run_block(config, 25, trace_dir if traced else None)
+        assert [r.replicate_index for r in results] == list(range(25, 30))
+        assert all(r.full_trace is None for r in results)
+        for r in results:
+            alone = run_replicate(config, r.replicate_index)
+            assert (r.seed, r.group_convergence) == (alone.seed, alone.group_convergence)
+            assert np.array_equal(r.trace_mean, alone.trace_mean)
+        written = sorted(path.name for path in tmp_path.rglob("*"))
+        assert written == sorted(["traces"] + [f"replicate_{i}.csv" for i in range(25, 30)
+                                               if traced])

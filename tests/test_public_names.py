@@ -54,10 +54,12 @@ def test_traced_functions_resolve():
             f"{module_name}.{attr}"
 
 
-def test_traced_run_spans_every_step_and_replicate(tmp_path):
+@pytest.mark.parametrize("trace", ["group", "full"])
+def test_traced_run_spans_every_step_and_replicate(tmp_path, trace):
     # The benchmark's traced run checks its counts against the outputs: one
     # engine.step span per replicate-iteration and one engine.run_replicate
-    # span per replicate, pool workers included (6 arms x 30 replicates).
+    # span per replicate, pool workers included (6 arms x 30 replicates); at
+    # trace "full" the workers also write the per-agent traces.
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"master_seed": 5, "dim": 8, "agents": 6,
                                   "max_iterations": 60, "replicates": 30,
@@ -66,13 +68,15 @@ def test_traced_run_spans_every_step_and_replicate(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), str(result), "--trace",
          "--", "run", "--config", str(config), "--out", str(tmp_path / "out"),
-         "--workers", "2"], capture_output=True, text=True, timeout=300)
+         "--workers", "2", "--trace", trace], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(result.read_text(encoding="utf-8"))
     assert record["rc"] == 0, proc.stderr
     metrics, replicate_s = _tracing().layer_metrics(record["spans"], workers=2)
     assert metrics["engine.step.calls"] == record["rep_iters"] > 0
     assert len(replicate_s) == 6 * 30
+    assert len(list((tmp_path / "out").glob("traces/*/replicate_*.csv"))) == (
+        6 * 30 if trace == "full" else 0)
 
 
 def test_all_names_resolve():

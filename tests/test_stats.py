@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from orgswarm import aggregate_arm, compare_arms, mann_whitney_u, step
 from orgswarm.engine import _first_hits
 from orgswarm.errors import InvalidParameterError
-from orgswarm.stats import EXACT_MAX_N, _median, _percentile, _u_tail_counts, median_ratio
+from orgswarm.stats import (EXACT_MAX_N, _median, _padded_curves, _percentile, _u_tail_counts,
+                            median_ratio)
 from scripted import scripted_state
 
 
@@ -145,6 +146,42 @@ class TestAggregateArm:
                            FakeResult(10)], "arm")
         assert s.converged == [10, 40, 100]
         assert s.censored == [10, 40, 100, 100]
+
+
+def stacked_curves(results):
+    """Reference arm curves: every replicate's padded row stacked into one
+    float (R, horizon) matrix, then ``mean(axis=0)``."""
+    horizon = max(r.max_iterations for r in results)
+    steps = np.arange(1, horizon + 1)
+    rows = [np.minimum(steps, r.trace_best.size - 1) for r in results]
+    return (np.array([r.trace_best[t] for r, t in zip(results, rows)], dtype=float).mean(axis=0),
+            np.array([r.trace_mean[t] for r, t in zip(results, rows)], dtype=float).mean(axis=0))
+
+
+@st.composite
+def arm_traces(draw):
+    """1-200 replicates on one budget, some stopped at t = 0 and some run to
+    the budget; fitness means are k/N for N in 1..40 agents."""
+    horizon = draw(st.integers(1, 60))
+    agents = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 200))
+    stops = draw(st.lists(st.one_of(st.just(0), st.just(horizon), st.integers(0, horizon)),
+                          min_size=1, max_size=200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [FakeResult(None, max_iterations=horizon,
+                       trace_best=rng.integers(0, dim + 1, stop + 1),
+                       trace_mean=rng.integers(0, dim * agents + 1, stop + 1) / agents)
+            for stop in stops]
+
+
+class TestPaddedCurves:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(arm_traces())
+    def test_equal_to_the_stacked_mean(self, results):
+        got, expected = _padded_curves(results), stacked_curves(results)
+        for curve, reference in zip(got, expected):
+            assert curve.dtype == reference.dtype == np.float64
+            assert curve.tobytes() == reference.tobytes()  # IEEE bits
 
 
 def numpy_mann_whitney(a, b):
