@@ -8,6 +8,7 @@ convergence) or the iteration budget runs out.
 import numpy as np
 
 from orgswarm import DesignKind, SimConfig, Tendency, run_replicate, to_bitstring
+from orgswarm.engine import derive_replicate_seed
 
 config = SimConfig(
     master_seed=2026,
@@ -15,14 +16,17 @@ config = SimConfig(
     tendency=Tendency.REACTIVE,
 )
 
-result = run_replicate(config, replicate_index=0)
+# full=True keeps the per-agent fitness trace, a (iterations_run + 1, N) array
+result = run_replicate(config, replicate_index=0, full=True)
+hit = result.full_trace["fitness"] == 0
+first_hits = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)  # -1 = never
 
 print(f"goal strategy : {to_bitstring(result.goal)}")
-print(f"replicate seed: {result.seed}")
+print(f"replicate seed: {derive_replicate_seed(config.master_seed, 0)}")
 print(f"first agent hit the goal at iteration {result.first_any_hit}")
 print(f"group converged at iteration {result.group_convergence} "
-      f"(budget {result.max_iterations})")
-print(f"per-agent first hits: {np.sort(result.first_hit).tolist()}")
+      f"(budget {config.max_iterations})")
+print(f"per-agent first hits: {np.sort(first_hits).tolist()}")
 
 # the group-level trace: best and mean Hamming distance per iteration
 # (index t is iteration t; index 0 is the initial swarm)

@@ -16,10 +16,10 @@ bit-for-bit on any host:
 
 Iteration ``t=0`` is the evaluation of the initial positions; each
 :func:`step` is one synchronous update, to ``state.t + 1``. The one loop,
-:func:`run_replicate`, steps at ``t = 1..max_iterations``, stops early once
-every personal best is 0 (group convergence) and reads every hit off the
-fitness trace it records. :func:`step` owns the state, keeps no hit record
-and keeps the neighbourhood bests until a reshuffle or an improving step.
+:func:`run_replicate`, steps at ``t = 1..max_iterations`` and stops early once
+every personal best is 0, at group convergence; the first hit is the first
+``t`` of its best-fitness trace at 0. :func:`step` owns the state, keeps no hit
+record and keeps the neighbourhood bests until a reshuffle or an improving step.
 """
 
 from __future__ import annotations
@@ -174,16 +174,13 @@ class SwarmState:
 
 @dataclass
 class ReplicateResult:
-    """Everything measured in one replicate."""
+    """What the output files read of one replicate; its seed and budget are the config's."""
 
     replicate_index: int
-    seed: int
     goal: np.ndarray
-    first_hit: np.ndarray              # (N,), -1 = never
-    group_convergence: int | None
-    first_any_hit: int | None
+    group_convergence: int | None      # the last t, if every personal best is 0 there
+    first_any_hit: int | None          # the first t at which trace_best is 0
     iterations_run: int
-    max_iterations: int
     trace_best: np.ndarray             # t = 0..iterations_run
     trace_mean: np.ndarray
     final_best_fitness: int            # min fitness in the trace (= min pbest)
@@ -306,17 +303,11 @@ def step(state: SwarmState) -> SwarmState:
     return state
 
 
-def _first_hits(fitness: np.ndarray) -> np.ndarray:
-    """(N,) int64: each agent's first row at fitness 0 in a (T+1, N) trace, or -1."""
-    hit = fitness == 0
-    return np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
-
-
 def run_replicate(config: SimConfig, replicate_index: int, *, full=False) -> ReplicateResult:
     """Run one seeded replicate to group convergence or the iteration budget.
 
     ``config`` must have passed :meth:`SimConfig.validate`. Every iteration's fitness
-    is kept and gives the hits; ``full`` also keeps each agent's silo and coefficients.
+    is kept and gives the traces; ``full`` also keeps each agent's silo and coefficients.
     """
     state = init_swarm(config, replicate_rng(config.master_seed, replicate_index))
     fitness_rows, full_rows = [], []  # at t = 0..: fitness; with full (silo_of, coefficients)
@@ -329,8 +320,8 @@ def run_replicate(config: SimConfig, replicate_index: int, *, full=False) -> Rep
         step(state)
 
     fitness = np.array(fitness_rows, dtype=np.int64)  # t = 0..iterations_run, stacked once
-    first_hit = _first_hits(fitness)
-    hits = first_hit[first_hit >= 0]
+    trace_best = fitness.min(axis=1)
+    hits = np.flatnonzero(trace_best == 0)
     full_trace = None
     if full:
         silo, coefficients = (np.array(column) for column in zip(*full_rows))
@@ -338,15 +329,12 @@ def run_replicate(config: SimConfig, replicate_index: int, *, full=False) -> Rep
                       "self_belief": coefficients[:, 0], "prestige_bias": coefficients[:, 1]}
     return ReplicateResult(
         replicate_index=replicate_index,
-        seed=derive_replicate_seed(config.master_seed, replicate_index),
         goal=state.goal,
-        first_hit=first_hit,
-        group_convergence=state.t if hits.size == first_hit.size else None,
-        first_any_hit=int(hits.min()) if hits.size else None,
+        group_convergence=None if np.count_nonzero(state.pbest_fitness) else state.t,
+        first_any_hit=int(hits[0]) if hits.size else None,
         iterations_run=state.t,
-        max_iterations=config.max_iterations,
-        trace_best=fitness.min(axis=1),
+        trace_best=trace_best,
         trace_mean=fitness.mean(axis=1),
-        final_best_fitness=int(fitness.min()),
+        final_best_fitness=int(trace_best.min()),
         full_trace=full_trace,
     )

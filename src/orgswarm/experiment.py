@@ -35,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ReplicateResult, SimConfig, _param, invalid_fields, run_replicate
+from .engine import (ReplicateResult, SimConfig, _param, derive_replicate_seed, invalid_fields,
+                     run_replicate)
 from .errors import ConfigError, InvariantViolation, is_int
 from .policies import Tendency
 from .stats import ArmComparison, ArmSummary, aggregate_arm, compare_arms, median_ratio
@@ -276,7 +277,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
         for label, block in zip(labels, block_map(_run_block, *columns)):
             results[label] += block
 
-    summaries = [aggregate_arm(results[label], label) for label in results]
+    summaries = [aggregate_arm(results[arm.label], arm.label, arm.config.max_iterations)
+                 for arm in arms]
     comparisons = [(a.label, b.label, *_compare_pair(a, b))
                    for a, b in itertools.combinations(summaries, 2)]
 
@@ -311,14 +313,15 @@ def _compare_pair(a: ArmSummary, b: ArmSummary) -> tuple[ArmComparison | None, f
 def _write_tables(output: ExperimentOutput) -> None:
     """summary.csv, arms.csv, comparisons.csv, goals.csv (each replicate's goal
     bitstring) and, at trace group|full, curves/<arm>.csv, arms in label order."""
-    out = output.out_dir
+    out, master_seed = output.out_dir, output.spec.arms[0].config.master_seed  # the arms' one seed
     replicates = [(label, r) for label, arm_results in output.results.items()
                   for r in arm_results]
     _write_csv(out / "summary.csv",
                "arm,replicate,seed,group_convergence,first_any_hit,success,final_best_fitness",
                _row_format((str, int, int, str, str, int, int)),
-               ((label, r.replicate_index, r.seed, _maybe(int, r.group_convergence),
-                 _maybe(int, r.first_any_hit), int(r.success), r.final_best_fitness)
+               ((label, r.replicate_index, derive_replicate_seed(master_seed, r.replicate_index),
+                 _maybe(int, r.group_convergence), _maybe(int, r.first_any_hit),
+                 int(r.success), r.final_best_fitness)
                 for label, r in replicates))
     _write_csv(out / "arms.csv",
                "arm,n,success_rate,median_group_convergence,mean_group_convergence,"

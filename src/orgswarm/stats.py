@@ -44,11 +44,10 @@ class ArmSummary:
     censored: list[int]                      # sorted, never-converged at max_iterations
 
 
-def _padded_curves(results: list[ReplicateResult]) -> tuple[np.ndarray, np.ndarray]:
+def _padded_curves(results: list[ReplicateResult], horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean over replicates at t = 1..horizon; a replicate that stopped early
     (at t = 0 too) carries its last value on. The rows are summed in result order, then
     divided by the count, as ``mean(axis=0)`` reduces their C-ordered stack: same bits."""
-    horizon = max(r.max_iterations for r in results)
     best, mean = np.zeros(horizon), np.zeros(horizon)
     steps = np.arange(1, horizon + 1)
     for r in results:
@@ -83,19 +82,19 @@ def _percentile(ordered: list, q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def aggregate_arm(results: list[ReplicateResult], label: str) -> ArmSummary:
-    """Summarize an arm's replicates.
+def aggregate_arm(results: list[ReplicateResult], label: str, max_iterations: int) -> ArmSummary:
+    """Summarize an arm's replicates, run on a budget of ``max_iterations``.
 
     Never-converged replicates are excluded from the central-tendency
-    statistics and surface only in the success rate. Medians use the
-    midpoint rule for even counts; the IQR uses linear interpolation.
+    statistics and count at the budget in the censored sample. Medians use
+    the midpoint rule for even counts; the IQR uses linear interpolation.
     """
     if not results:
         raise InvalidParameterError("aggregate_arm needs at least one result")
     conv = sorted(r.group_convergence for r in results if r.group_convergence is not None)
-    censored = sorted(conv + [r.max_iterations for r in results if r.group_convergence is None])
+    censored = conv + [max_iterations] * (len(results) - len(conv))  # sorted: conv <= budget
     hits = sorted(r.first_any_hit for r in results if r.first_any_hit is not None)
-    curve_best, curve_mean = _padded_curves(results)
+    curve_best, curve_mean = _padded_curves(results, max_iterations)
     nan = float("nan")
     return ArmSummary(
         label=label,

@@ -40,6 +40,11 @@ def scripted_state(fitness_traces, dim=8, **overrides):
     """A swarm, before step 1, in which agent i's fitness at step t will be
     ``fitness_traces[i][t]`` (its first that many bits are set; the goal is 0).
     A fitness outside ``[0, dim]`` cannot be scripted and raises ValueError."""
+    return init_swarm(*scripted(fitness_traces, dim, **overrides))
+
+
+def scripted(fitness_traces, dim=8, **overrides):
+    """The config and the :class:`ScriptedRng` of :func:`scripted_state`."""
     traces = np.asarray(fitness_traces)
     if traces.min() < 0 or traces.max() > dim:
         raise ValueError(f"scripted fitness must lie in [0, {dim}], got {traces.tolist()}")
@@ -47,4 +52,4 @@ def scripted_state(fitness_traces, dim=8, **overrides):
     cfg = dict(master_seed=1, design=DesignKind.FULLY_NETWORKED,
                tendency=Tendency.REACTIVE, dim=dim, agents=traces.shape[0])
     cfg.update(overrides)
-    return init_swarm(SimConfig(**cfg), ScriptedRng(positions))
+    return SimConfig(**cfg), ScriptedRng(positions)

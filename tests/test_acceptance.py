@@ -279,10 +279,10 @@ def test_criterion_4_statistics_oracle():
     from orgswarm import aggregate_arm, compare_arms
     from test_stats import FakeResult
     assert aggregate_arm([FakeResult(v) for v in (10, 20, 30)],
-                         "x").median_group_convergence == 20
+                         "x", 100).median_group_convergence == 20
     assert aggregate_arm([FakeResult(v) for v in (10, 20, 30, 40)],
-                         "x").median_group_convergence == 25
-    never = aggregate_arm([FakeResult(10), FakeResult(None), FakeResult(30)], "x")
+                         "x", 100).median_group_convergence == 25
+    never = aggregate_arm([FakeResult(10), FakeResult(None), FakeResult(30)], "x", 100)
     assert never.success_rate == pytest.approx(2 / 3)
     assert never.median_group_convergence == 20
     disjoint = compare_arms([1, 2, 3], [10, 11, 12])

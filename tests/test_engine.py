@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
-                      parse_config_dict, run_replicate, step)
+                      parse_config_dict, run_experiment, run_replicate, step)
 from orgswarm.engine import derive_replicate_seed, replicate_rng
+from reference_step import reference_hits
 
 
 def config(**overrides):
@@ -188,10 +189,10 @@ class TestRunReplicate:
         c = config()
         a = run_replicate(c, 0)
         b = run_replicate(c, 0)
-        assert a.group_convergence == b.group_convergence
-        assert np.array_equal(a.first_hit, b.first_hit)
+        assert (a.group_convergence, a.first_any_hit, a.iterations_run) == (
+            b.group_convergence, b.first_any_hit, b.iterations_run)
         assert np.array_equal(a.trace_best, b.trace_best)
-        assert a.seed == b.seed
+        assert np.array_equal(a.goal, b.goal)
 
     def test_budget_of_one_iteration(self):
         c = config(max_iterations=1)
@@ -201,10 +202,11 @@ class TestRunReplicate:
     def test_group_convergence_is_max_first_hit(self):
         c = config(dim=5, agents=4, max_iterations=300)
         for i in range(5):
-            r = run_replicate(c, i)
+            r = run_replicate(c, i, full=True)
+            first_hit = reference_hits(r.full_trace["fitness"].tolist())[0]
             assert r.group_convergence is not None
-            assert r.group_convergence == r.first_hit.max()
-            assert r.first_any_hit == r.first_hit.min()
+            assert r.group_convergence == max(first_hit) == r.iterations_run
+            assert r.first_any_hit == min(first_hit)
             assert r.first_any_hit <= r.group_convergence
 
     def test_initial_hit_recorded_at_zero(self):
@@ -212,9 +214,9 @@ class TestRunReplicate:
         # find one deterministically and pin it.
         c = config(dim=2, agents=4, max_iterations=10)
         for i in range(20):
-            r = run_replicate(c, i)
+            r = run_replicate(c, i, full=True)
             if r.trace_best[0] == 0:
-                assert (r.first_hit == 0).any()
+                assert (r.full_trace["fitness"][0] == 0).any()
                 assert r.first_any_hit == 0
                 return
         pytest.fail("no replicate with an immediate hit found")
@@ -232,9 +234,10 @@ class TestRunReplicate:
         f = run_replicate(c, 0, full=True)
         for result in (r, f):
             assert result.trace_best.size == result.trace_mean.size == r.iterations_run + 1
-        assert (r.group_convergence, r.final_best_fitness) == (
-            f.group_convergence, f.final_best_fitness)
-        assert np.array_equal(r.first_hit, f.first_hit)
+        assert (r.group_convergence, r.first_any_hit, r.final_best_fitness) == (
+            f.group_convergence, f.first_any_hit, f.final_best_fitness)
+        assert np.array_equal(r.trace_best, f.trace_best)
+        assert np.array_equal(r.trace_mean, f.trace_mean)
 
     @pytest.mark.parametrize("level", ["none", "group", "full"])
     def test_trace_level_argument_refused(self, level):
@@ -257,12 +260,11 @@ class TestRunReplicate:
         for key in ("fitness", "silo", "self_belief", "prestige_bias"):
             assert ft[key].shape == (r.iterations_run + 1, c.agents)
         assert ft["inertia"].shape == (c.agents,)
-        # first hits re-derivable from the per-agent fitness trace
-        assert r.first_hit.dtype == np.int64
-        for agent in range(c.agents):
-            zeros = np.flatnonzero(ft["fitness"][:, agent] == 0)
-            expected = int(zeros[0]) if zeros.size else -1
-            assert r.first_hit[agent] == expected
+        # the hits are those read off the per-agent fitness trace
+        assert ft["fitness"].dtype == np.int64
+        _, group, first_any, best = reference_hits(ft["fitness"].tolist())
+        assert (r.group_convergence, r.first_any_hit, r.final_best_fitness) == (
+            group, first_any, best)
 
     def test_gbest_mode_instantaneous_uses_current_positions(self):
         # Force pbest and current fitness to disagree about the leader; the
@@ -288,10 +290,10 @@ class TestRunReplicate:
         base = run_replicate(config(), 0)
         a = run_replicate(config(stochastic_acceleration=True), 0)
         b = run_replicate(config(stochastic_acceleration=True), 0)
-        assert np.array_equal(a.first_hit, b.first_hit)
+        assert np.array_equal(a.trace_mean, b.trace_mean)
         assert a.group_convergence == b.group_convergence
         assert (a.group_convergence != base.group_convergence
-                or not np.array_equal(a.first_hit, base.first_hit))
+                or not np.array_equal(a.trace_mean, base.trace_mean))
 
     def test_goal_is_absorbing_in_memory_not_position(self):
         # Park the whole swarm on the goal with zero velocity: the next step
@@ -325,10 +327,15 @@ class TestRunReplicate:
                 assert np.array_equal(state.positions[i], position)
         assert len(frozen_positions) == c.agents
 
-    def test_seed_column_matches_derivation(self):
-        c = config()
-        r = run_replicate(c, 7)
-        assert r.seed == derive_replicate_seed(42, 7)
+    def test_seed_column_matches_derivation(self, tmp_path):
+        spec = parse_config_dict({"master_seed": 42, "dim": 4, "agents": 3, "max_iterations": 5,
+                                  "replicates": 8, "trace": "none",
+                                  "arms": [{"label": "a", "design": "fully_networked",
+                                            "tendency": "reactive"}]})
+        run_experiment(spec, tmp_path)
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [
+            str(derive_replicate_seed(42, i)) for i in range(8)]
 
 
 class TestSmallInstanceConvergence:

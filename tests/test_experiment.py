@@ -468,7 +468,8 @@ class TestTraceLevels:
         assert all(r.full_trace is None for r in results)
         for r in results:
             alone = run_replicate(config, r.replicate_index)
-            assert (r.seed, r.group_convergence) == (alone.seed, alone.group_convergence)
+            assert (r.replicate_index, r.group_convergence) == (
+                alone.replicate_index, alone.group_convergence)
             assert np.array_equal(r.trace_mean, alone.trace_mean)
         written = sorted(path.name for path in tmp_path.rglob("*"))
         assert written == sorted(["traces"] + [f"replicate_{i}.csv" for i in range(25, 30)

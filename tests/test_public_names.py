@@ -4,13 +4,15 @@ the package root exports only such names.
 The demos import from ``orgswarm``; the benchmark in ``perfbench/`` wraps
 functions by ``(module, attribute)`` (``tracing.TRACED``). Both are read
 from their files, so these tests need nothing from them but their text, and
-one traced run through ``perfbench/child.py``.
+one traced run through ``perfbench/child.py``. Demo 01 must also keep
+printing the same text for its seeded replicate.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -36,6 +38,34 @@ def test_demo_imports_resolve(demo):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{demo.name}: {alias.name}"
+
+
+DEMO_01_STDOUT = """\
+goal strategy : 0011111100100111101110010
+replicate seed: 15824617304438902051
+first agent hit the goal at iteration 16
+group converged at iteration 101 (budget 1000)
+per-agent first hits: [16, 16, 17, 19, 22, 24, 26, 29, 29, 36, 36, 37, 38, 45, 48, 61, 77, 81, 92, 101]
+
+iteration  best  mean
+        1     7  11.00
+       15     2   4.50
+       29     0   2.50
+       43     1   2.45
+       58     0   2.15
+       72     0   2.85
+       86     0   2.05
+      101     0   2.05
+"""
+
+
+def test_demo_01_stdout():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "01_single_replicate.py")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DEMO_01_STDOUT
 
 
 def _tracing():

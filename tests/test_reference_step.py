@@ -89,7 +89,6 @@ def test_step_matches_reference_step(config, replicate):
         rows.append(reference.fitness.tolist())
 
     result = run_replicate(config, replicate)
-    first_hit, group, first_any, best = reference_hits(rows)
-    assert result.first_hit.dtype == np.int64 and result.first_hit.tolist() == first_hit
+    _, group, first_any, best = reference_hits(rows)
     assert (result.group_convergence, result.first_any_hit, result.iterations_run,
             result.final_best_fitness) == (group, first_any, len(rows) - 1, best)

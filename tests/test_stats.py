@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import aggregate_arm, compare_arms, mann_whitney_u, step
-from orgswarm.engine import _first_hits
+from orgswarm import aggregate_arm, compare_arms, engine, mann_whitney_u, run_replicate
 from orgswarm.errors import InvalidParameterError
 from orgswarm.stats import (EXACT_MAX_N, _median, _padded_curves, _percentile, _u_tail_counts,
                             median_ratio)
-from scripted import scripted_state
+from scripted import scripted, scripted_state
 
 
 def brute_force_mann_whitney(a, b):
@@ -55,18 +54,15 @@ def brute_force_mann_whitney(a, b):
     return u_obs, min(1.0, (at_most + at_least) / total)
 
 
-def engine_first_hit(fitness_trace):
-    """The first hit the engine derives for one agent whose fitness at
-    iterations 0, 1, ... follows ``fitness_trace`` (None when it never hits),
-    from the fitness rows of a swarm scripted to follow it."""
-    state = scripted_state([fitness_trace], dim=10)
-    rows = [state.fitness]
-    for _ in fitness_trace[1:]:
-        rows.append(step(state).fitness)
-    assert np.array(rows)[:, 0].tolist() == fitness_trace
-    hits = _first_hits(np.array(rows, dtype=np.int64))
-    assert hits.dtype == np.int64
-    return int(hits[0]) if hits[0] >= 0 else None
+def engine_hits(monkeypatch, fitness_traces):
+    """``(first_any_hit, group_convergence)`` of a ``run_replicate`` whose agent i
+    has fitness ``fitness_traces[i][t]`` at iteration t (a scripted swarm), on
+    the budget of the traces' last iteration."""
+    config, rng = scripted(fitness_traces, dim=10, max_iterations=len(fitness_traces[0]) - 1)
+    monkeypatch.setattr(engine, "replicate_rng", lambda *_: rng)
+    r = run_replicate(config, 0)
+    assert r.trace_best.tolist() == np.min(fitness_traces, axis=0)[:r.iterations_run + 1].tolist()
+    return r.first_any_hit, r.group_convergence
 
 
 class TestFirstHitIteration:
@@ -75,14 +71,21 @@ class TestFirstHitIteration:
         ([2, 1, 1], None),
         ([0, 4, 2], 0),
     ])
-    def test_hand_examples(self, trace, expected):
-        assert engine_first_hit(trace) == expected
+    def test_hand_examples(self, monkeypatch, trace, expected):
+        # one agent: its first hit is both the first and the last of the group
+        assert engine_hits(monkeypatch, [trace]) == (expected, expected)
 
-    def test_stable_under_appends_after_first_zero(self):
+    def test_stable_under_appends_after_first_zero(self, monkeypatch):
         base = [5, 2, 0]
-        hit = engine_first_hit(base)
+        hits = engine_hits(monkeypatch, [base])
         for extra in ([1], [0, 0], [9, 0, 3]):
-            assert engine_first_hit(base + extra) == hit
+            assert engine_hits(monkeypatch, [base + extra]) == hits
+
+    def test_first_hit_of_any_agent_and_last_of_all(self, monkeypatch):
+        # the best fitness is 0 first at t = 1 (agent 0, which then leaves the
+        # goal), and every personal best is 0 first at t = 3 (agent 1's hit)
+        assert engine_hits(monkeypatch, [[3, 0, 2, 2, 1], [2, 2, 1, 0, 4]]) == (1, 3)
+        assert engine_hits(monkeypatch, [[3, 0, 2, 2], [2, 2, 1, 1]]) == (1, None)
 
     @pytest.mark.parametrize("trace", [[5, 2, 0, 9], [3, -1]])
     def test_impossible_script_rejected(self, trace):
@@ -95,7 +98,6 @@ class TestFirstHitIteration:
 class FakeResult:
     group_convergence: int | None
     first_any_hit: int | None = 1
-    max_iterations: int = 100
     # t = 0..iterations_run
     trace_best: np.ndarray = field(default_factory=lambda: np.array([5, 3, 1, 0]))
     trace_mean: np.ndarray = field(default_factory=lambda: np.array([8.0, 6.0, 4.0, 2.0]))
@@ -103,55 +105,53 @@ class FakeResult:
 
 class TestAggregateArm:
     def test_odd_count_median(self):
-        s = aggregate_arm([FakeResult(v) for v in (10, 20, 30)], "arm")
+        s = aggregate_arm([FakeResult(v) for v in (10, 20, 30)], "arm", 100)
         assert s.median_group_convergence == 20
 
     def test_even_count_midpoint(self):
-        s = aggregate_arm([FakeResult(v) for v in (10, 20, 30, 40)], "arm")
+        s = aggregate_arm([FakeResult(v) for v in (10, 20, 30, 40)], "arm", 100)
         assert s.median_group_convergence == 25
 
     def test_never_excluded_from_median_but_in_rate(self):
-        s = aggregate_arm([FakeResult(10), FakeResult(None), FakeResult(30)], "arm")
+        s = aggregate_arm([FakeResult(10), FakeResult(None), FakeResult(30)], "arm", 100)
         assert s.successes == 2 and s.success_rate == pytest.approx(2 / 3)
         assert s.median_group_convergence == 20
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidParameterError):
-            aggregate_arm([], "arm")
+            aggregate_arm([], "arm", 100)
 
     def test_central_tendency_within_range(self):
         rng = np.random.default_rng(1)
         values = rng.integers(5, 500, 31).tolist()
-        s = aggregate_arm([FakeResult(v) for v in values], "arm")
+        s = aggregate_arm([FakeResult(v) for v in values], "arm", 500)
         assert min(values) <= s.median_group_convergence <= max(values)
         assert min(values) <= s.mean_group_convergence <= max(values)
         assert s.iqr_low <= s.median_group_convergence <= s.iqr_high
 
     def test_curve_padding_carries_last_value(self):
-        r = FakeResult(3, max_iterations=6)
-        s = aggregate_arm([r], "arm")
+        r = FakeResult(3)
+        s = aggregate_arm([r], "arm", 6)
         assert s.curve_best.size == 6
         assert s.curve_best[-1] == r.trace_best[-1]
         assert s.curve_best.tolist() == [3, 1, 0, 0, 0, 0]  # t = 1..6
         # converged at t = 0: its t = 0 values fill the whole curve
-        at_start = FakeResult(0, max_iterations=6, trace_best=np.array([0]),
-                              trace_mean=np.array([3.0]))
-        s = aggregate_arm([at_start], "arm")
+        at_start = FakeResult(0, trace_best=np.array([0]), trace_mean=np.array([3.0]))
+        s = aggregate_arm([at_start], "arm", 6)
         assert s.curve_best.tolist() == [0] * 6 and s.curve_mean.tolist() == [3.0] * 6
 
     def test_censored_values(self):
         # a never-converged replicate sorts last at the budget, level with one
         # that converged exactly at it
         s = aggregate_arm([FakeResult(None), FakeResult(40), FakeResult(100),
-                           FakeResult(10)], "arm")
+                           FakeResult(10)], "arm", 100)
         assert s.converged == [10, 40, 100]
         assert s.censored == [10, 40, 100, 100]
 
 
-def stacked_curves(results):
+def stacked_curves(results, horizon):
     """Reference arm curves: every replicate's padded row stacked into one
     float (R, horizon) matrix, then ``mean(axis=0)``."""
-    horizon = max(r.max_iterations for r in results)
     steps = np.arange(1, horizon + 1)
     rows = [np.minimum(steps, r.trace_best.size - 1) for r in results]
     return (np.array([r.trace_best[t] for r, t in zip(results, rows)], dtype=float).mean(axis=0),
@@ -168,17 +168,17 @@ def arm_traces(draw):
     stops = draw(st.lists(st.one_of(st.just(0), st.just(horizon), st.integers(0, horizon)),
                           min_size=1, max_size=200))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return [FakeResult(None, max_iterations=horizon,
-                       trace_best=rng.integers(0, dim + 1, stop + 1),
-                       trace_mean=rng.integers(0, dim * agents + 1, stop + 1) / agents)
-            for stop in stops]
+    return horizon, [FakeResult(None, trace_best=rng.integers(0, dim + 1, stop + 1),
+                                trace_mean=rng.integers(0, dim * agents + 1, stop + 1) / agents)
+                     for stop in stops]
 
 
 class TestPaddedCurves:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(arm_traces())
-    def test_equal_to_the_stacked_mean(self, results):
-        got, expected = _padded_curves(results), stacked_curves(results)
+    def test_equal_to_the_stacked_mean(self, arm):
+        horizon, results = arm
+        got, expected = _padded_curves(results, horizon), stacked_curves(results, horizon)
         for curve, reference in zip(got, expected):
             assert curve.dtype == reference.dtype == np.float64
             assert curve.tobytes() == reference.tobytes()  # IEEE bits
