@@ -1,12 +1,15 @@
 """The built-in Mann-Whitney U test, exact and approximate paths.
 
 Small tie-free samples route to the exact tail enumeration; ties or samples
-beyond 20 per side use the tie-corrected normal approximation.
+beyond 20 per side use the tie-corrected normal approximation. Two arms are
+compared with ``mann_whitney_u`` and ``orgswarm.stats.median_ratio``, the two
+statistics a run's comparisons.csv reports for each arm pair.
 """
 
 import numpy as np
 
-from orgswarm import DesignKind, SimConfig, Tendency, compare_arms, mann_whitney_u, run_replicate
+from orgswarm import DesignKind, SimConfig, Tendency, mann_whitney_u, run_replicate
+from orgswarm.stats import median_ratio
 
 # exact path on toy samples
 r = mann_whitney_u([1, 2, 3], [10, 11, 12])
@@ -27,8 +30,8 @@ def arm(design, **options):
 
 fn = arm(DesignKind.FULLY_NETWORKED)
 silo = arm(DesignKind.SILOED, silo_count=5)
-c = compare_arms(fn, silo)
+r = mann_whitney_u(fn, silo)
 print(f"\nfully networked vs siloed (reactive, 60 replicates):")
 print(f"  medians {np.median(fn):.0f} vs {np.median(silo):.0f}")
-print(f"  median ratio {c.median_ratio:.3f}, U={c.u_statistic}, "
-      f"p={c.p_value:.2e} ({c.method})")
+print(f"  median ratio {median_ratio(fn, silo):.3f}, U={r.u_statistic}, "
+      f"p={r.p_value:.2e} ({r.method})")

@@ -22,7 +22,6 @@ for s in output.summaries:
     print(f"{s.label:32s} {s.successes:4d}/{s.n:<4d} {s.median_group_convergence:8.1f}")
 
 print("\npairwise comparisons (ratio < 1 means arm_a is faster):")
-for arm_a, arm_b, cmp_result, censored in output.comparisons:
-    if cmp_result is not None:
-        print(f"  {arm_a:28s} vs {arm_b:28s} ratio {cmp_result.median_ratio:5.2f} "
-              f"p={cmp_result.p_value:.2g}")
+for arm_a, arm_b, ratio, u_statistic, p_value, censored_ratio in output.comparisons:
+    if ratio is not None:  # None unless both arms have a converged replicate
+        print(f"  {arm_a:28s} vs {arm_b:28s} ratio {ratio:5.2f} p={p_value:.2g}")

@@ -4,7 +4,8 @@
                  [--workers N] [--trace none|group|full]
     orgswarm validate --config cfg.json
 
-Exit codes: 0 success, 2 config error, 3 a worker process died, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 a worker process died, 4 I/O error,
+5 out of memory (numpy could not allocate an arm's agents x dim arrays).
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:
+        print(f"out of memory: {e}; lower agents or dim", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ orders are fixed, so a spec gives byte-identical files at any worker count:
 
 * ``summary.csv``   one row per replicate
 * ``arms.csv``      one row per arm
-* ``comparisons.csv`` one row per unordered arm pair
+* ``comparisons.csv`` one row per unordered arm pair, all computed by ``_compare_pair``
 * ``goals.csv``     one row per replicate: its goal bitstring
 * ``curves/<arm>.csv`` per-iteration convergence curves (trace group|full)
 * ``traces/<arm>/replicate_<i>.csv`` per-agent traces (trace full)
@@ -39,7 +39,8 @@ from .engine import (ReplicateResult, SimConfig, _param, derive_replicate_seed, 
                      run_replicate)
 from .errors import ConfigError, InvariantViolation, is_int
 from .policies import Tendency
-from .stats import ArmComparison, ArmSummary, aggregate_arm, compare_arms, median_ratio
+from . import stats  # the U test is looked up on the module, where a wrapper may replace it
+from .stats import ArmSummary, aggregate_arm
 from .strategy import to_bitstring
 from .topology import DesignKind
 
@@ -244,7 +245,9 @@ class ExperimentOutput:
     spec: ExperimentSpec
     results: dict[str, list[ReplicateResult]]
     summaries: list[ArmSummary]
-    comparisons: list[tuple[str, str, ArmComparison | None, float]]
+    # one tuple per comparisons.csv row: (arm_a, arm_b, median_ratio, u_statistic,
+    # p_value, censored_median_ratio), None for an empty cell
+    comparisons: list[tuple]
     out_dir: Path
 
 
@@ -303,11 +306,17 @@ def _block_map(workers: int):
         raise InvariantViolation(f"a worker process died: {e}") from e
 
 
-def _compare_pair(a: ArmSummary, b: ArmSummary) -> tuple[ArmComparison | None, float]:
-    """The rank test of two arms' converged samples (None unless both have
-    one) and the median ratio of their censored samples."""
-    comparison = compare_arms(a.converged, b.converged) if a.converged and b.converged else None
-    return comparison, median_ratio(a.censored, b.censored)
+def _compare_pair(a: ArmSummary, b: ArmSummary) -> tuple:
+    """Arms a and b's ``comparisons.csv`` cells after their labels: the median ratio,
+    U and p of their converged samples (None unless both have one), and the median
+    ratio of their censored samples, a never-converged replicate counting at the budget."""
+    censored_ratio = stats.median_ratio(*[s.converged + [s.max_iterations] * (s.n - s.successes)
+                                          for s in (a, b)])  # sorted: converged <= budget
+    if not (a.converged and b.converged):
+        return None, None, None, censored_ratio
+    test = stats.mann_whitney_u(a.converged, b.converged)
+    return (stats.median_ratio(a.converged, b.converged), test.u_statistic, test.p_value,
+            censored_ratio)
 
 
 def _write_tables(output: ExperimentOutput) -> None:
@@ -333,9 +342,8 @@ def _write_tables(output: ExperimentOutput) -> None:
     _write_csv(out / "comparisons.csv",
                "arm_a,arm_b,median_ratio,u_statistic,p_value,censored_median_ratio",
                _row_format((str, str, str, str, str, float)),
-               ((arm_a, arm_b, *[_maybe(float, v) for v in ((None,) * 3 if c is None else
-                                 (c.median_ratio, c.u_statistic, c.p_value))], censored_ratio)
-                for arm_a, arm_b, c, censored_ratio in output.comparisons))
+               ((arm_a, arm_b, _maybe(float, ratio), _maybe(float, u), _maybe(float, p), censored)
+                for arm_a, arm_b, ratio, u, p, censored in output.comparisons))
     _write_csv(out / "goals.csv", "arm,replicate,goal", _row_format((str, int, str)),
                ((label, r.replicate_index, to_bitstring(r.goal)) for label, r in replicates))
     if output.spec.trace != "none":

@@ -1,6 +1,8 @@
-"""Aggregation of replicate results and nonparametric arm comparison.
+"""Aggregation of replicate results, and the statistics that compare two samples.
 
-The Mann-Whitney U here is self-contained: an exact tail probability from
+:func:`mann_whitney_u` and :func:`median_ratio` compare any two samples; the
+experiment writer's ``_compare_pair`` applies them to a pair of arms. The
+Mann-Whitney U here is self-contained: an exact tail probability from
 the classical no-ties count recurrence when both sides have at most 20
 observations and the pooled sample is tie-free, otherwise a tie-corrected
 normal approximation (no continuity correction, so identical samples give
@@ -41,7 +43,7 @@ class ArmSummary:
     curve_best: np.ndarray                   # (T,), iterations 1..T
     curve_mean: np.ndarray
     converged: list[int]                     # sorted, converged replicates only
-    censored: list[int]                      # sorted, never-converged at max_iterations
+    max_iterations: int                      # the budget the replicates ran on
 
 
 def _padded_curves(results: list[ReplicateResult], horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,13 +88,12 @@ def aggregate_arm(results: list[ReplicateResult], label: str, max_iterations: in
     """Summarize an arm's replicates, run on a budget of ``max_iterations``.
 
     Never-converged replicates are excluded from the central-tendency
-    statistics and count at the budget in the censored sample. Medians use
-    the midpoint rule for even counts; the IQR uses linear interpolation.
+    statistics. Medians use the midpoint rule for even counts; the IQR uses
+    linear interpolation.
     """
     if not results:
         raise InvalidParameterError("aggregate_arm needs at least one result")
     conv = sorted(r.group_convergence for r in results if r.group_convergence is not None)
-    censored = conv + [max_iterations] * (len(results) - len(conv))  # sorted: conv <= budget
     hits = sorted(r.first_any_hit for r in results if r.first_any_hit is not None)
     curve_best, curve_mean = _padded_curves(results, max_iterations)
     nan = float("nan")
@@ -109,7 +110,7 @@ def aggregate_arm(results: list[ReplicateResult], label: str, max_iterations: in
         curve_best=curve_best,
         curve_mean=curve_mean,
         converged=conv,
-        censored=censored,
+        max_iterations=max_iterations,
     )
 
 
@@ -171,27 +172,9 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     return MannWhitneyResult(u_a, min(1.0, math.erfc(abs(z) / math.sqrt(2.0))), "normal")
 
 
-@dataclass
-class ArmComparison:
-    median_ratio: float
-    u_statistic: float
-    p_value: float
-    method: str
-
-
 def median_ratio(a, b) -> float:
     """median(a) / median(b) of two non-empty samples; 1 when both medians
     are 0, inf when only median(b) is."""
     ma, mb = _median(sorted(a)), _median(sorted(b))
     return ma / mb if mb else (1.0 if ma == 0.0 else float("inf"))
 
-
-def compare_arms(a, b) -> ArmComparison:
-    """Compare two arms' group-convergence samples (successful replicates only).
-
-    ``median_ratio`` is :func:`median_ratio` of a and b; ratios below 1 mean
-    arm a self-organizes faster.
-    """
-    a, b = list(a), list(b)
-    test = mann_whitney_u(a, b)
-    return ArmComparison(median_ratio(a, b), test.u_statistic, test.p_value, test.method)

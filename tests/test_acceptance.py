@@ -276,7 +276,8 @@ def test_criterion_4_statistics_oracle():
                 assert got.p_value == pytest.approx(p_ref, abs=1e-12), (a, b)
                 checked += 1
 
-    from orgswarm import aggregate_arm, compare_arms
+    from orgswarm import aggregate_arm
+    from orgswarm.stats import median_ratio
     from test_stats import FakeResult
     assert aggregate_arm([FakeResult(v) for v in (10, 20, 30)],
                          "x", 100).median_group_convergence == 20
@@ -285,8 +286,8 @@ def test_criterion_4_statistics_oracle():
     never = aggregate_arm([FakeResult(10), FakeResult(None), FakeResult(30)], "x", 100)
     assert never.success_rate == pytest.approx(2 / 3)
     assert never.median_group_convergence == 20
-    disjoint = compare_arms([1, 2, 3], [10, 11, 12])
-    assert disjoint.u_statistic == 0 and disjoint.median_ratio == pytest.approx(2 / 11)
+    assert mann_whitney_u([1, 2, 3], [10, 11, 12]).u_statistic == 0
+    assert median_ratio([1, 2, 3], [10, 11, 12]) == pytest.approx(2 / 11)
 
     report(4, True,
            f"exact Mann-Whitney matches brute-force enumeration on {checked} "

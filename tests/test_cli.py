@@ -266,6 +266,18 @@ class TestRun:
         assert rc == 3
         assert "worker process died" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_5(self, tmp_path, capsys):
+        # a valid config whose swarm numpy refuses to allocate (8.88 PiB of
+        # positions) before it allocates anything
+        config = {"master_seed": 1, "replicates": 1, "agents": 1_000_000_000,
+                  "dim": 10_000_000, "workers": 1}
+        rc = main(["run", "--config", write_config(tmp_path, config),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert "agents" in err and "dim" in err
+
 
 def _exit_process(*args, **kwargs):
     os._exit(1)

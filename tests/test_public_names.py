@@ -4,8 +4,8 @@ the package root exports only such names.
 The demos import from ``orgswarm``; the benchmark in ``perfbench/`` wraps
 functions by ``(module, attribute)`` (``tracing.TRACED``). Both are read
 from their files, so these tests need nothing from them but their text, and
-one traced run through ``perfbench/child.py``. Demo 01 must also keep
-printing the same text for its seeded replicate.
+one traced run through ``perfbench/child.py``. Demos 01, 04 and 05 must
+also keep printing the same text for their seeded runs.
 """
 
 import ast
@@ -59,13 +59,57 @@ iteration  best  mean
 """
 
 
-def test_demo_01_stdout():
+DEMO_04_STDOUT = """\
+[1,2,3] vs [10,11,12]: U=0.0, p=0.1000 (exact)
+identical samples:     U=4.5, p=1.0000 (normal)
+
+fully networked vs siloed (reactive, 60 replicates):
+  medians 82 vs 122
+  median ratio 0.679, U=633.5, p=9.14e-10 (normal)
+"""
+
+DEMO_05_STDOUT = """\
+outputs in demo_results/
+arm                                success   median
+dynamic+perceptive                 50/50      116.0
+dynamic+reactive                   50/50      101.0
+fully_networked+perceptive         50/50       93.5
+fully_networked+reactive           50/50       88.0
+siloed+perceptive                  50/50      146.0
+siloed+reactive                    50/50      123.5
+
+pairwise comparisons (ratio < 1 means arm_a is faster):
+  dynamic+perceptive           vs dynamic+reactive             ratio  1.15 p=0.021
+  dynamic+perceptive           vs fully_networked+perceptive   ratio  1.24 p=0.016
+  dynamic+perceptive           vs fully_networked+reactive     ratio  1.32 p=0.00071
+  dynamic+perceptive           vs siloed+perceptive            ratio  0.79 p=1.2e-05
+  dynamic+perceptive           vs siloed+reactive              ratio  0.94 p=0.23
+  dynamic+reactive             vs fully_networked+perceptive   ratio  1.08 p=0.68
+  dynamic+reactive             vs fully_networked+reactive     ratio  1.15 p=0.1
+  dynamic+reactive             vs siloed+perceptive            ratio  0.69 p=1.1e-09
+  dynamic+reactive             vs siloed+reactive              ratio  0.82 p=0.00068
+  fully_networked+perceptive   vs fully_networked+reactive     ratio  1.06 p=0.27
+  fully_networked+perceptive   vs siloed+perceptive            ratio  0.64 p=3.2e-08
+  fully_networked+perceptive   vs siloed+reactive              ratio  0.76 p=0.0006
+  fully_networked+reactive     vs siloed+perceptive            ratio  0.60 p=2.6e-09
+  fully_networked+reactive     vs siloed+reactive              ratio  0.71 p=1.7e-05
+  siloed+perceptive            vs siloed+reactive              ratio  1.18 p=0.00029
+"""
+
+
+@pytest.mark.parametrize("demo,stdout", [
+    ("01_single_replicate.py", DEMO_01_STDOUT),
+    ("04_rank_test.py", DEMO_04_STDOUT),
+    ("05_full_experiment.py", DEMO_05_STDOUT),
+], ids=["01", "04", "05"])
+def test_demo_stdout(tmp_path, demo, stdout):
+    # run in tmp_path: demo 05 writes demo_results/ into its working directory
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "01_single_replicate.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == DEMO_01_STDOUT
+    assert proc.stdout == stdout
 
 
 def _tracing():
@@ -89,7 +133,9 @@ def test_traced_run_spans_every_step_and_replicate(tmp_path, trace):
     # The benchmark's traced run checks its counts against the outputs: one
     # engine.step span per replicate-iteration and one engine.run_replicate
     # span per replicate, pool workers included (6 arms x 30 replicates); at
-    # trace "full" the workers also write the per-agent traces.
+    # trace "full" the workers also write the per-agent traces. Every arm
+    # converges, so each of the 15 arm pairs runs one U test, and the test is
+    # looked up on orgswarm.stats, where the traced run wraps it.
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"master_seed": 5, "dim": 8, "agents": 6,
                                   "max_iterations": 60, "replicates": 30,
@@ -105,6 +151,7 @@ def test_traced_run_spans_every_step_and_replicate(tmp_path, trace):
     metrics, replicate_s = _tracing().layer_metrics(record["spans"], workers=2)
     assert metrics["engine.step.calls"] == record["rep_iters"] > 0
     assert len(replicate_s) == 6 * 30
+    assert metrics["stats.mann_whitney_u.calls"] == 15
     assert len(list((tmp_path / "out").glob("traces/*/replicate_*.csv"))) == (
         6 * 30 if trace == "full" else 0)
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import aggregate_arm, compare_arms, engine, mann_whitney_u, run_replicate
+from orgswarm import aggregate_arm, engine, mann_whitney_u, run_replicate
 from orgswarm.errors import InvalidParameterError
+from orgswarm.experiment import _compare_pair
 from orgswarm.stats import (EXACT_MAX_N, _median, _padded_curves, _percentile, _u_tail_counts,
                             median_ratio)
 from scripted import scripted, scripted_state
@@ -141,12 +142,36 @@ class TestAggregateArm:
         assert s.curve_best.tolist() == [0] * 6 and s.curve_mean.tolist() == [3.0] * 6
 
     def test_censored_values(self):
-        # a never-converged replicate sorts last at the budget, level with one
-        # that converged exactly at it
+        # the converged replicates, sorted, and the budget the rest count at
         s = aggregate_arm([FakeResult(None), FakeResult(40), FakeResult(100),
                            FakeResult(10)], "arm", 100)
         assert s.converged == [10, 40, 100]
-        assert s.censored == [10, 40, 100, 100]
+        assert s.max_iterations == 100
+
+
+class TestComparePair:
+    """``_compare_pair``: one comparisons.csv row's statistics, by hand."""
+
+    B = [20, 30, 40]  # every replicate converged; median 30
+
+    def arm(self, values, budget=100):
+        return aggregate_arm([FakeResult(v) for v in values], "arm", budget)
+
+    def test_never_converged_counts_at_the_budget(self):
+        # censored sample [10, 40, 100, 100]: the never-converged replicate
+        # sorts last at the budget, level with the one that converged there
+        a, b = self.arm([None, 40, 100, 10]), self.arm(self.B)
+        ratio, u, p, censored_ratio = _compare_pair(a, b)
+        test = mann_whitney_u([10, 40, 100], self.B)
+        assert (ratio, u, p) == (40 / 30, test.u_statistic, test.p_value)
+        assert censored_ratio == 70 / 30
+        assert _compare_pair(self.arm([100, 40, 100, 10]), b)[3] == censored_ratio
+        # the budget, not the largest converged value: [10, 40, 1000, 1000]
+        assert _compare_pair(self.arm([None, None, 40, 10], 1000), b)[3] == 520 / 30
+
+    def test_no_converged_replicate_leaves_the_test_empty(self):
+        assert _compare_pair(self.arm([None, None], 50), self.arm(self.B)) == (
+            None, None, None, 50 / 30)
 
 
 def stacked_curves(results, horizon):
@@ -264,30 +289,27 @@ class TestMedianRatio:
     ])
     def test_zero_median_rule(self, a, b, ratio):
         assert median_ratio(a, b) == ratio
-        assert compare_arms(a, b).median_ratio == ratio
 
 
 class TestMannWhitney:
     def test_identical_samples_p_near_one(self):
-        r = compare_arms([4, 5, 6], [4, 5, 6])
-        assert r.median_ratio == 1.0
-        assert r.p_value >= 0.99
+        assert median_ratio([4, 5, 6], [4, 5, 6]) == 1.0
+        assert mann_whitney_u([4, 5, 6], [4, 5, 6]).p_value >= 0.99
 
     def test_disjoint_samples_exact(self):
-        r = compare_arms([1, 2, 3], [10, 11, 12])
+        r = mann_whitney_u([1, 2, 3], [10, 11, 12])
         assert r.u_statistic == 0.0
-        assert r.median_ratio == pytest.approx(2 / 11)
+        assert median_ratio([1, 2, 3], [10, 11, 12]) == pytest.approx(2 / 11)
         assert r.p_value == pytest.approx(0.1)
         assert r.method == "exact"
 
     def test_singletons(self):
-        r = compare_arms([5], [5])
-        assert r.median_ratio == 1.0
-        assert r.p_value == 1.0
+        assert median_ratio([5], [5]) == 1.0
+        assert mann_whitney_u([5], [5]).p_value == 1.0
 
     def test_empty_side_rejected(self):
         with pytest.raises(InvalidParameterError):
-            compare_arms([], [1, 2])
+            mann_whitney_u([], [1, 2])
         with pytest.raises(InvalidParameterError):
             mann_whitney_u([1.0], [])
 
@@ -296,8 +318,8 @@ class TestMannWhitney:
         for _ in range(30):
             a = rng.integers(1, 100, 7).tolist()
             b = rng.integers(1, 100, 9).tolist()
-            ab = compare_arms(a, b).median_ratio
-            ba = compare_arms(b, a).median_ratio
+            ab = median_ratio(a, b)
+            ba = median_ratio(b, a)
             assert ab == pytest.approx(1 / ba)
 
     def test_tail_counts_sum_to_binomial(self):
