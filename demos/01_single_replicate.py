@@ -7,13 +7,13 @@ convergence) or the iteration budget runs out.
 
 import numpy as np
 
-from orgswarm import DesignKind, SimConfig, Tendency, run_replicate, to_bitstring
+from orgswarm import SimConfig, run_replicate, to_bitstring
 from orgswarm.engine import derive_replicate_seed
 
 config = SimConfig(
     master_seed=2026,
-    design=DesignKind.FULLY_NETWORKED,
-    tendency=Tendency.REACTIVE,
+    design="fully_networked",
+    tendency="reactive",
 )
 
 # full=True keeps the per-agent fitness trace, a (iterations_run + 1, N) array

@@ -6,18 +6,18 @@ REPLICATES for tighter medians.
 
 import numpy as np
 
-from orgswarm import DesignKind, SimConfig, Tendency, run_replicate
+from orgswarm import SimConfig, run_replicate
 
 REPLICATES = 40
 
 designs = {
-    "fully_networked": dict(design=DesignKind.FULLY_NETWORKED),
-    "dynamic": dict(design=DesignKind.DYNAMIC, silo_count=5, reshuffle_interval=10),
-    "siloed": dict(design=DesignKind.SILOED, silo_count=5),
+    "fully_networked": dict(design="fully_networked"),
+    "dynamic": dict(design="dynamic", silo_count=5, reshuffle_interval=10),
+    "siloed": dict(design="siloed", silo_count=5),
 }
 
 print(f"{'arm':32s} {'success':>8s} {'median':>7s} {'IQR':>12s}")
-for tendency in Tendency:
+for tendency in ("reactive", "perceptive"):
     for name, design in designs.items():
         config = SimConfig(master_seed=20260808, tendency=tendency, **design)
         conv = []
@@ -26,7 +26,7 @@ for tendency in Tendency:
             if r.group_convergence is not None:
                 conv.append(r.group_convergence)
         iqr = np.percentile(conv, [25, 75])
-        print(f"{name + '+' + tendency.value:32s} {len(conv):4d}/{REPLICATES}"
+        print(f"{name + '+' + tendency:32s} {len(conv):4d}/{REPLICATES}"
               f" {np.median(conv):7.1f} {iqr[0]:5.0f}-{iqr[1]:<5.0f}")
 
 print("\nFully networked groups self-organize fastest: every member is pulled")

@@ -8,7 +8,7 @@ statistics a run's comparisons.csv reports for each arm pair.
 
 import numpy as np
 
-from orgswarm import DesignKind, SimConfig, Tendency, mann_whitney_u, run_replicate
+from orgswarm import SimConfig, mann_whitney_u, run_replicate
 from orgswarm.stats import median_ratio
 
 # exact path on toy samples
@@ -20,7 +20,7 @@ print(f"identical samples:     U={r.u_statistic}, p={r.p_value:.4f} ({r.method})
 
 # real comparison: fully networked vs siloed, reactive tendency
 def arm(design, **options):
-    config = SimConfig(master_seed=11, design=design, tendency=Tendency.REACTIVE, **options)
+    config = SimConfig(master_seed=11, design=design, tendency="reactive", **options)
     out = []
     for i in range(60):
         rep = run_replicate(config, i)
@@ -28,8 +28,8 @@ def arm(design, **options):
             out.append(rep.group_convergence)
     return out
 
-fn = arm(DesignKind.FULLY_NETWORKED)
-silo = arm(DesignKind.SILOED, silo_count=5)
+fn = arm("fully_networked")
+silo = arm("siloed", silo_count=5)
 r = mann_whitney_u(fn, silo)
 print(f"\nfully networked vs siloed (reactive, 60 replicates):")
 print(f"  medians {np.median(fn):.0f} vs {np.median(silo):.0f}")

@@ -31,9 +31,9 @@ import numpy as np
 from .errors import ConfigError, is_int, is_real
 from .kinematics import clamp_velocity, sigmoid, update_velocity
 # reactive_shift stays bound here: perfbench's tracing.TRACED wraps it by this name
-from .policies import Tendency, perceptive_shift, reactive_shift
+from .policies import TENDENCIES, perceptive_shift, reactive_shift
 from .strategy import BIT_DTYPE, fitness_many
-from .topology import DesignKind, SiloAssignment, build_assignment, reshuffle, silo_leaders
+from .topology import DESIGNS, SiloAssignment, build_assignment, reshuffle, silo_leaders
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -99,9 +99,8 @@ class SimConfig:
     """
 
     master_seed: int = _param("u64", lambda v: is_int(v) and 0 <= v < 2 ** 64)
-    design: DesignKind = _param("fully_networked|siloed|dynamic",
-                                lambda v: isinstance(v, DesignKind))
-    tendency: Tendency = _param("reactive|perceptive", lambda v: isinstance(v, Tendency))
+    design: str = _param(f"one of {DESIGNS}", lambda v: v in DESIGNS)
+    tendency: str = _param(f"one of {TENDENCIES}", lambda v: v in TENDENCIES)
     silo_count: int = _count(5)          # siloed and dynamic only
     reshuffle_interval: int = _count(10)  # dynamic only
     dim: int = _count(25)
@@ -141,7 +140,7 @@ class SimConfig:
                     if name not in bad and not (lo <= pair[0] and pair[1] <= hi):
                         bad[name] = (f"{name} (range within [{lo}, {hi}] required, "
                                      f"got [{pair[0]}, {pair[1]}])")
-        if (self.design is not DesignKind.FULLY_NETWORKED
+        if (self.design != "fully_networked"
                 and not bad.keys() & {"design", "agents", "silo_count"}
                 and self.silo_count > self.agents):
             bad["silo_count"] = (f"silo_count (integer in [1, {self.agents}] required, "
@@ -245,7 +244,7 @@ def step(state: SwarmState) -> SwarmState:
     cfg = state.config
     t = state.t + 1
 
-    if cfg.design is DesignKind.DYNAMIC and t % cfg.reshuffle_interval == 0:
+    if cfg.design == "dynamic" and t % cfg.reshuffle_interval == 0:
         state.assignment = reshuffle(state.assignment, state.rng)
         state.stale = True
 
@@ -291,7 +290,7 @@ def step(state: SwarmState) -> SwarmState:
         np.minimum(state.pbest_fitness, fit, out=state.pbest_fitness)
         state.stale = True
 
-    alpha = 1.0 if cfg.tendency is Tendency.REACTIVE else cfg.alpha  # see policies
+    alpha = 1.0 if cfg.tendency == "reactive" else cfg.alpha  # see policies
     ema, coefficients = perceptive_shift(state.feedback_ema, state.coefficients, signal, t,
                                          cfg.pressure_horizon, alpha, cfg.delta,
                                          cfg.coeff_min, cfg.coeff_max)

@@ -38,14 +38,15 @@ import numpy as np
 from .engine import (ReplicateResult, SimConfig, _param, derive_replicate_seed, invalid_fields,
                      run_replicate)
 from .errors import ConfigError, InvariantViolation, is_int
-from .policies import Tendency
+from .policies import TENDENCIES
 from . import stats  # the U test is looked up on the module, where a wrapper may replace it
 from .stats import ArmSummary, aggregate_arm
 from .strategy import to_bitstring
-from .topology import DesignKind
+from .topology import DESIGNS
 
 _BLOCK = 25  # replicates per block
 TRACE_LEVELS = ("none", "group", "full")  # "group" writes curves/, "full" also traces/
+_LABEL_BYTES = 251  # NAME_MAX (255) less ".csv": a label names curves/<label>.csv
 
 
 def _encodes(encode, value: str) -> bool:
@@ -61,10 +62,11 @@ def _encodes(encode, value: str) -> bool:
 class Arm:
     """One design x tendency arm; its label names CSV cells and output paths."""
 
-    label: str = _param("non-empty UTF-8 string other than '.' or '..' without '/', '\\', "
-                        "',', a line break or NUL",
+    label: str = _param(f"non-empty UTF-8 string of at most {_LABEL_BYTES} bytes other than "
+                        "'.' or '..' without '/', '\\', ',', '\"', a line break or NUL",
                         lambda v: isinstance(v, str) and v not in ("", ".", "..")
-                        and not any(c in v for c in "/\\,\n\r\0") and _encodes(str.encode, v))
+                        and not any(c in v for c in '/\\,"\n\r\0')
+                        and _encodes(str.encode, v) and len(v.encode()) <= _LABEL_BYTES)
     config: SimConfig
 
 
@@ -82,16 +84,17 @@ class ExperimentSpec:
                                  lambda v: v is None or (is_int(v) and v >= 1), None)
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` for the first of: bad top-level fields;
-        the first arm with a bad label or config; no arms, duplicate labels or mixed seeds."""
+        """Raise :class:`ConfigError` for the first of: bad top-level fields; the
+        first arm with a bad config, then label (a default label is built from the
+        config); no arms, duplicate labels or mixed seeds."""
         bad = invalid_fields(self)
         if bad:
             raise ConfigError("invalid config: " + "; ".join(bad.values()), fields=list(bad))
         for i, arm in enumerate(self.arms):
+            arm.config.validate()
             bad = invalid_fields(arm)
             if bad:
                 raise ConfigError(f"arm {i}: " + "; ".join(bad.values()), fields=list(bad))
-            arm.config.validate()
         labels = [arm.label for arm in self.arms]
         if not labels or len(set(labels)) < len(labels):
             raise ConfigError(f"arms must be a non-empty list without duplicate labels, "
@@ -109,15 +112,6 @@ _TOP_LEVEL_KEYS = {*_PARAMS, "master_seed", *_SPEC_KEYS, "arms"}
 _ARM_KEYS = {*_PARAMS, "design", "tendency", "label"}
 
 
-def _choice(kind, name: str, value):
-    """The ``kind`` enum member whose value is ``value`` (config field ``name``)."""
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be one of {[k.value for k in kind]}, got {value!r}",
-                          fields=[name]) from None
-
-
 def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
     """Build and validate an :class:`ExperimentSpec`, arms in the mapping's order;
     ``overrides`` (top-level keys, as from the CLI's flags) are laid over its
@@ -133,8 +127,8 @@ def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
 
     arm_entries = data.get("arms")
     if arm_entries is None:
-        arm_entries = [{"design": d.value, "tendency": t.value}
-                       for d, t in itertools.product(sorted(DesignKind), sorted(Tendency))]
+        arm_entries = [{"design": d, "tendency": t}
+                       for d, t in itertools.product(DESIGNS, TENDENCIES)]
     if not isinstance(arm_entries, list):
         raise ConfigError("arms must be a non-empty list", fields=["arms"])
 
@@ -151,13 +145,11 @@ def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
             if required not in entry:
                 raise ConfigError(f"arm {i}: missing {required}", fields=[required])
         params = {**shared, **entry, **pinned}
-        design = _choice(DesignKind, "design", entry["design"])
-        tendency = _choice(Tendency, "tendency", entry["tendency"])
         config = SimConfig(
-            master_seed=data["master_seed"], design=design, tendency=tendency,
+            master_seed=data["master_seed"], design=entry["design"], tendency=entry["tendency"],
             **{k: tuple(v) if isinstance(v, list) else v
                for k, v in params.items() if k in _PARAMS})
-        arms.append(Arm(entry.get("label", f"{design.value}+{tendency.value}"), config))
+        arms.append(Arm(entry.get("label", f"{config.design}+{config.tendency}"), config))
 
     spec = ExperimentSpec(arms, **{k: data[k] for k in _SPEC_KEYS if k in data})
     spec.validate()
@@ -188,8 +180,7 @@ def serialize_spec(spec: ExperimentSpec) -> dict:
     arms = []
     for arm in spec.arms:
         c = arm.config
-        entry = {"label": arm.label, "design": c.design.value,
-                 "tendency": c.tendency.value}
+        entry = {"label": arm.label, "design": c.design, "tendency": c.tendency}
         for name in _PARAMS:
             value = getattr(c, name)
             entry[name] = list(value) if isinstance(value, tuple) else value

@@ -1,7 +1,8 @@
 """Behavioral tendencies: how feedback reshapes the coefficient triple.
 
 Both policies move weight between self-belief (C1) and prestige bias (C2),
-never touching inertia. The feedback signal is an agent's fitness change,
+never touching inertia. The tendency is one of the strings in
+:data:`TENDENCIES`. The feedback signal is an agent's fitness change,
 previous minus current, so a positive signal means it improved. Perceptive
 agents respond to an exponential moving average of it, with a step size that
 ramps from ``delta * alpha`` up to ``delta`` as performance pressure grows
@@ -15,16 +16,12 @@ only values that :meth:`orgswarm.engine.SimConfig.validate` accepted.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .kinematics import clamp
 
 
-class Tendency(str, Enum):
-    REACTIVE = "reactive"
-    PERCEPTIVE = "perceptive"
+TENDENCIES = ("perceptive", "reactive")  # sorted, as the default grid runs them
 
 
 def pressure(t, horizon: int) -> float:

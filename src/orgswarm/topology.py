@@ -9,23 +9,20 @@ Three designs constrain which "most fit" reference each agent can see:
 * dynamic -- siloed, but the partition is redrawn every ``reshuffle_interval``
   iterations.
 
-A design is three plain :class:`~orgswarm.engine.SimConfig` fields
-(``design``, ``silo_count``, ``reshuffle_interval``), checked there once;
-the functions here take them as given.
+A design is three plain :class:`~orgswarm.engine.SimConfig` fields:
+``design``, one of the strings in :data:`DESIGNS`, ``silo_count`` and
+``reshuffle_interval``. They are checked there once; the functions here take
+them as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 
-class DesignKind(str, Enum):
-    FULLY_NETWORKED = "fully_networked"
-    SILOED = "siloed"
-    DYNAMIC = "dynamic"
+DESIGNS = ("dynamic", "fully_networked", "siloed")  # sorted, as the default grid runs them
 
 
 @dataclass
@@ -42,7 +39,7 @@ class SiloAssignment:
     starts: np.ndarray
 
 
-def build_assignment(design: DesignKind, silo_count: int, agent_count: int,
+def build_assignment(design: str, silo_count: int, agent_count: int,
                      rng: np.random.Generator) -> SiloAssignment:
     """Initial silo assignment for a design (``silo_count`` in [1, agent_count]).
 
@@ -51,13 +48,13 @@ def build_assignment(design: DesignKind, silo_count: int, agent_count: int,
     siloed/dynamic then redraw that once, which makes the partition uniform
     over balanced partitions.
     """
-    if design is DesignKind.FULLY_NETWORKED:
+    if design == "fully_networked":
         silo_count = 1
     sizes = np.full(silo_count, agent_count // silo_count, dtype=np.int64)
     sizes[: agent_count % silo_count] += 1
     dealt = SiloAssignment(np.repeat(np.arange(silo_count), sizes),
                            np.arange(agent_count), np.cumsum(sizes) - sizes)
-    return dealt if design is DesignKind.FULLY_NETWORKED else reshuffle(dealt, rng)
+    return dealt if design == "fully_networked" else reshuffle(dealt, rng)
 
 
 def reshuffle(assignment: SiloAssignment, rng: np.random.Generator) -> SiloAssignment:

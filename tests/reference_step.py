@@ -16,9 +16,9 @@ plain loops, as an oracle for the ones ``run_replicate`` derives.
 
 import numpy as np
 
-from orgswarm.policies import Tendency, pressure
+from orgswarm.policies import pressure
 from orgswarm.strategy import BIT_DTYPE, fitness_many
-from orgswarm.topology import DesignKind, reshuffle, silo_leaders
+from orgswarm.topology import reshuffle, silo_leaders
 
 
 def _clamp(x, lo, hi):
@@ -30,7 +30,7 @@ def reference_step(state):
     cfg = state.config
     t = state.t + 1
 
-    if cfg.design is DesignKind.DYNAMIC and t % cfg.reshuffle_interval == 0:
+    if cfg.design == "dynamic" and t % cfg.reshuffle_interval == 0:
         state.assignment = reshuffle(state.assignment, state.rng)
 
     if cfg.gbest_mode == "historical":
@@ -76,7 +76,7 @@ def reference_step(state):
     if cfg.freeze_on_goal:
         sub_ema, sub_belief, sub_bias = ema[live], belief[live], bias[live]
         sub_signal = signal[live]
-    if cfg.tendency is Tendency.REACTIVE:
+    if cfg.tendency == "reactive":
         sub_ema = sub_signal.astype(float)  # the engine's reactive rule is alpha = 1
         step_size = cfg.delta
     else:

@@ -7,7 +7,7 @@ always sets the bit and a draw of 1.0 never does, whatever the velocity.
 
 import numpy as np
 
-from orgswarm import DesignKind, SimConfig, Tendency, init_swarm
+from orgswarm import SimConfig, init_swarm
 
 
 class ScriptedRng:
@@ -49,7 +49,7 @@ def scripted(fitness_traces, dim=8, **overrides):
     if traces.min() < 0 or traces.max() > dim:
         raise ValueError(f"scripted fitness must lie in [0, {dim}], got {traces.tolist()}")
     positions = (np.arange(dim) < traces.T[:, :, None]).astype(np.int8)
-    cfg = dict(master_seed=1, design=DesignKind.FULLY_NETWORKED,
-               tendency=Tendency.REACTIVE, dim=dim, agents=traces.shape[0])
+    cfg = dict(master_seed=1, design="fully_networked",
+               tendency="reactive", dim=dim, agents=traces.shape[0])
     cfg.update(overrides)
     return SimConfig(**cfg), ScriptedRng(positions)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from orgswarm import (DesignKind, SimConfig, Tendency, clamp_velocity, init_swarm,
+from orgswarm import (SimConfig, clamp_velocity, init_swarm,
                       mann_whitney_u, parse_config_dict, run_experiment, run_replicate,
                       step)
 from orgswarm.engine import replicate_rng
@@ -153,8 +153,8 @@ def brute_force_states(snapshot, draws, steps, delta, v_max, lo, hi):
 
 
 def test_criterion_2_kinematics_oracle():
-    config = SimConfig(master_seed=4242, design=DesignKind.FULLY_NETWORKED,
-                       tendency=Tendency.REACTIVE, dim=3, agents=2,
+    config = SimConfig(master_seed=4242, design="fully_networked",
+                       tendency="reactive", dim=3, agents=2,
                        max_iterations=5)
     rng = RecordingRng(replicate_rng(config.master_seed, 0))
     state = init_swarm(config, rng)
@@ -225,7 +225,7 @@ def test_criterion_3_invariant_suite():
         violations += int(((c1 < 0) | (c1 > 2) | (c2 < 0) | (c2 > 2)).sum())
 
     # silo balance across reshuffles
-    assignment = build_assignment(DesignKind.SILOED, 5, 20, np.random.default_rng(5))
+    assignment = build_assignment("siloed", 5, 20, np.random.default_rng(5))
     shuffle_rng = np.random.default_rng(6)
     for _ in range(1000):
         assignment = reshuffle(assignment, shuffle_rng)
@@ -236,8 +236,8 @@ def test_criterion_3_invariant_suite():
     # engine invariants: pbest monotone, fully-networked historical
     # neighborhood-best fitness monotone (per agent per iteration = a case)
     for rep in range(6):
-        cfg = SimConfig(master_seed=777, design=DesignKind.FULLY_NETWORKED,
-                        tendency=Tendency.REACTIVE if rep % 2 else Tendency.PERCEPTIVE,
+        cfg = SimConfig(master_seed=777, design="fully_networked",
+                        tendency="reactive" if rep % 2 else "perceptive",
                         dim=12, agents=8, max_iterations=60)
         st = init_swarm(cfg, replicate_rng(cfg.master_seed, rep))
         prev_pbest = st.pbest_fitness.copy()
@@ -321,8 +321,8 @@ def test_sweep_arm_samples_equal_run_replicate(tmp_path):
     swept = _sweep(tmp_path, {"R5": {"design": "dynamic", "tendency": "perceptive",
                                      "silo_count": 5, "reshuffle_interval": 5}},
                    replicates=30)["R5"]
-    cfg = SimConfig(master_seed=ACCEPTANCE_SEED, design=DesignKind.DYNAMIC,
-                    tendency=Tendency.PERCEPTIVE, silo_count=5, reshuffle_interval=5)
+    cfg = SimConfig(master_seed=ACCEPTANCE_SEED, design="dynamic",
+                    tendency="perceptive", silo_count=5, reshuffle_interval=5)
     serial = [r.group_convergence for r in (run_replicate(cfg, i) for i in range(30))
               if r.group_convergence is not None]
     assert swept == sorted(serial) and len(serial) > 1
@@ -422,7 +422,7 @@ def test_criterion_7_reshuffling_does_not_help_perceptive(default_grid, tmp_path
 def test_criterion_8_runtime(default_grid):
     _, _, grid_elapsed = default_grid
     cfg = SimConfig(master_seed=ACCEPTANCE_SEED,
-                    design=DesignKind.FULLY_NETWORKED, tendency=Tendency.REACTIVE)
+                    design="fully_networked", tendency="reactive")
     run_replicate(cfg, 0)  # warm-up
     single = min(
         _timed(run_replicate, cfg, i) for i in range(3))

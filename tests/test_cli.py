@@ -187,13 +187,20 @@ class TestRun:
         # each bound is finite, but Generator.uniform's high - low overflows
         ({"coeff_min": -1e308, "coeff_max": 1e308, "self_belief_init": [-1e308, 1e308]},
          "self_belief_init"),
+        # a bad choice names its field, not the default label built from it
+        ({"arms": [{"design": ["siloed", "x"], "tendency": "reactive"}]}, "design"),
+        ({"arms": [{"design": 5, "tendency": "reactive"}]}, "design"),
+        ({"arms": [{"design": None, "tendency": "reactive"}]}, "design"),
+        ({"arms": [{"design": "Siloed", "tendency": "reactive"}]}, "design"),
+        ({"arms": [{"design": "siloed", "tendency": {"a": 1}}]}, "tendency"),
     ])
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys, override, field):
         out_dir = tmp_path / "out"
         config = {**TINY, "out_dir": str(out_dir), **override}
         rc = main(["run", "--config", write_config(tmp_path, config)])
         assert rc == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "label" not in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("override,field", [
@@ -220,6 +227,28 @@ class TestRun:
         arms = [{"design": "fully_networked", "tendency": "reactive"}]
         config = write_config(tmp_path, {"master_seed": 1, "agents": 3, "arms": arms})
         assert main(["validate", "--config", config]) == 0
+
+    @pytest.mark.parametrize("label", ['"q', "x" * 252, "\u00e9" * 126, "x" * 300],
+                             ids=["quote", "252_bytes", "252_utf8_bytes", "300_bytes"])
+    def test_label_unfit_for_a_cell_or_file_name_exit_2(self, tmp_path, capsys, label):
+        # a '"' opens a quoted CSV cell that swallows the rows after it, and
+        # curves/<label>.csv must fit a 255-byte file name
+        arms = [{"design": "siloed", "tendency": "reactive", "label": label}]
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", write_config(tmp_path, {**TINY, "arms": arms}),
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert "label" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_longest_label_runs(self, tmp_path):
+        label = "x" * 251  # curves/<label>.csv is a 255-byte file name
+        arms = [{"design": "siloed", "tendency": "reactive", "label": label}]
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, {**TINY, "arms": arms}),
+                     "--out", str(out_dir), "--trace", "full"]) == 0
+        assert (out_dir / "curves" / f"{label}.csv").is_file()
+        assert len(list((out_dir / "traces" / label).iterdir())) == TINY["replicates"]
 
     def test_label_cannot_escape_out_dir(self, tmp_path, capsys):
         arms = [{"design": "siloed", "tendency": "reactive", "label": "../../escaped"}]

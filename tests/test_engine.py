@@ -1,25 +1,26 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
+from orgswarm import (ConfigError, SimConfig, init_swarm,
                       parse_config_dict, run_experiment, run_replicate, step)
 from orgswarm.engine import derive_replicate_seed, replicate_rng
 from reference_step import reference_hits
 
 
 def config(**overrides):
-    base = dict(master_seed=42, design=DesignKind.FULLY_NETWORKED,
-                tendency=Tendency.REACTIVE, dim=8, agents=6, max_iterations=80)
+    base = dict(master_seed=42, design="fully_networked",
+                tendency="reactive", dim=8, agents=6, max_iterations=80)
     base.update(overrides)
     return SimConfig(**base)
 
 
 class TestSimConfig:
     def test_defaults(self):
-        c = SimConfig(master_seed=1, design=DesignKind.FULLY_NETWORKED,
-                      tendency=Tendency.REACTIVE)
+        c = SimConfig(master_seed=1, design="fully_networked",
+                      tendency="reactive")
         assert (c.dim, c.agents, c.max_iterations) == (25, 20, 1000)
         assert c.v_max == 4.0 and c.delta == 0.1 and c.alpha == 0.1
         assert c.pressure_horizon == 250
@@ -41,7 +42,7 @@ class TestSimConfig:
 
     def test_silo_count_checked_against_agents(self):
         with pytest.raises(ConfigError) as err:
-            config(design=DesignKind.SILOED, silo_count=30, agents=20).validate()
+            config(design="siloed", silo_count=30, agents=20).validate()
         assert "silo_count" in str(err.value)
 
     def test_bad_gbest_mode(self):
@@ -142,7 +143,7 @@ class TestStep:
         # The (N, D) arithmetic runs in the state's buffers: after warm-up, a
         # step's peak of fresh memory stays below one N x D float block
         # (the bit rows it allocates are 1 byte per element).
-        c = config(dim=200, agents=200, design=DesignKind.SILOED, silo_count=20,
+        c = config(dim=200, agents=200, design="siloed", silo_count=20,
                    stochastic_acceleration=True, gbest_mode="instantaneous")
         state = init_swarm(c, replicate_rng(c.master_seed, 0))
         for _ in range(3):
@@ -173,7 +174,7 @@ class TestStep:
         assert r.trace_mean.tolist() == [sum(row) / len(row) for row in rows]
 
     def test_dynamic_reshuffles_on_schedule(self):
-        c = config(design=DesignKind.DYNAMIC, silo_count=3, reshuffle_interval=5, agents=9)
+        c = config(design="dynamic", silo_count=3, reshuffle_interval=5, agents=9)
         state = init_swarm(c, replicate_rng(c.master_seed, 0))
         before = state.assignment.silo_of.copy()
         for _ in range(4):
@@ -238,6 +239,29 @@ class TestRunReplicate:
             f.group_convergence, f.first_any_hit, f.final_best_fitness)
         assert np.array_equal(r.trace_best, f.trace_best)
         assert np.array_equal(r.trace_mean, f.trace_mean)
+
+    def test_strings_built_at_run_time_take_the_literal_branches(self):
+        # a parsed config holds fresh str objects, not the interned literals,
+        # so a design or tendency compared by identity would miss its branch
+        options = dict(silo_count=3, reshuffle_interval=2, dim=12, agents=9, max_iterations=60)
+        signatures = set()
+        for design, tendency in itertools.product(("dynamic", "fully_networked", "siloed"),
+                                                  ("perceptive", "reactive")):
+            built = ["".join(list(s)) for s in (design, tendency)]
+            assert built == [design, tendency]
+            assert built[0] is not design and built[1] is not tendency
+            a = run_replicate(config(design=design, tendency=tendency, **options), 3, full=True)
+            b = run_replicate(config(design=built[0], tendency=built[1], **options), 3,
+                              full=True)
+            assert (a.group_convergence, a.first_any_hit, a.iterations_run) == (
+                b.group_convergence, b.first_any_hit, b.iterations_run)
+            arrays = [(a.goal, b.goal), (a.trace_best, b.trace_best),
+                      (a.trace_mean, b.trace_mean),
+                      *((a.full_trace[k], b.full_trace[k]) for k in a.full_trace)]
+            for x, y in arrays:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            signatures.add(a.full_trace["fitness"].tobytes())
+        assert len(signatures) == 6  # each arm takes its own branches
 
     @pytest.mark.parametrize("level", ["none", "group", "full"])
     def test_trace_level_argument_refused(self, level):
@@ -344,8 +368,8 @@ class TestSmallInstanceConvergence:
         # be solved by >= 95% of 100 replicates. A pure random-search oracle
         # establishes that the harness floor itself is near-certain success.
         c = config(dim=3, agents=4, max_iterations=500,
-                   design=DesignKind.FULLY_NETWORKED,
-                   tendency=Tendency.REACTIVE, master_seed=2026)
+                   design="fully_networked",
+                   tendency="reactive", master_seed=2026)
         guided = sum(run_replicate(c, i).success for i in range(100))
 
         oracle_rng = np.random.default_rng(909)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import orgswarm
-from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
+from orgswarm import (ConfigError, SimConfig, init_swarm,
                       parse_config, parse_config_dict, run_experiment)
 from orgswarm.engine import replicate_rng, run_replicate
 from orgswarm.experiment import Arm, ExperimentSpec, _run_block, serialize_spec
@@ -39,7 +39,8 @@ class TestParseConfig:
         labels = [a.label for a in spec.arms]
         assert labels == sorted(labels)
         kinds = {(a.config.design, a.config.tendency) for a in spec.arms}
-        assert kinds == set(itertools.product(DesignKind, Tendency))
+        assert kinds == set(itertools.product(("fully_networked", "siloed", "dynamic"),
+                                              ("reactive", "perceptive")))
         c = spec.arms[0].config
         assert (c.dim, c.agents, c.max_iterations, c.replicates) == (25, 20, 1000, 200)
         assert c.v_max == 4.0 and c.delta == 0.1 and c.alpha == 0.1
@@ -85,12 +86,14 @@ class TestParseConfig:
                                          "speed": 3}]})
 
     def test_bad_design_and_tendency(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             parse_config_dict({"master_seed": 1,
                                "arms": [{"design": "matrix", "tendency": "reactive"}]})
-        with pytest.raises(ConfigError):
+        assert err.value.fields == ["design"]
+        with pytest.raises(ConfigError) as err:
             parse_config_dict({"master_seed": 1,
                                "arms": [{"design": "siloed", "tendency": "zen"}]})
+        assert err.value.fields == ["tendency"]
 
     def test_duplicate_labels_rejected(self):
         arm = {"design": "siloed", "tendency": "reactive"}
@@ -130,8 +133,8 @@ class TestParseConfig:
 
     def test_serialize_refuses_arms_with_different_master_seeds(self):
         # the mapping has one master_seed, so such a spec cannot round-trip
-        arms = [Arm(label, SimConfig(master_seed=seed, design=DesignKind.FULLY_NETWORKED,
-                                     tendency=Tendency.REACTIVE))
+        arms = [Arm(label, SimConfig(master_seed=seed, design="fully_networked",
+                                     tendency="reactive"))
                 for label, seed in (("a", 1), ("b", 2))]
         with pytest.raises(ConfigError) as err:
             serialize_spec(ExperimentSpec(arms))
@@ -245,8 +248,8 @@ class TestRunExperiment:
     def test_hand_built_spec_validated_before_anything_runs(self, tmp_path, monkeypatch,
                                                             case, field):
         good = parse_config_dict(dict(TINY)).arms[0]
-        bad = Arm("bad", SimConfig(master_seed=1, design=DesignKind.SILOED, silo_count=2,
-                                   tendency=Tendency.REACTIVE, dim=0))
+        bad = Arm("bad", SimConfig(master_seed=1, design="siloed", silo_count=2,
+                                   tendency="reactive", dim=0))
         spec = {  # fields other than workers, each past the parser's checks
             "dim": {"arms": [good, bad]},
             # at trace full it would write out/esc.csv and out/esc/replicate_*.csv

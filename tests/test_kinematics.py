@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, clamp_velocity,
+from orgswarm import (ConfigError, SimConfig, clamp_velocity,
                       init_swarm, parse_config_dict, sigmoid, step, update_velocity)
 from orgswarm.engine import replicate_rng
 
@@ -29,8 +29,8 @@ def engine_position_update(position, velocity, draws=None, seed=1):
     """
     position = np.asarray(position, dtype=np.int8)
     rows = np.atleast_2d(position)
-    cfg = SimConfig(master_seed=seed, design=DesignKind.FULLY_NETWORKED,
-                    tendency=Tendency.REACTIVE, dim=rows.shape[1],
+    cfg = SimConfig(master_seed=seed, design="fully_networked",
+                    tendency="reactive", dim=rows.shape[1],
                     agents=rows.shape[0], inertia_init=(1.0, 1.0),
                     self_belief_init=(0.0, 0.0), prestige_bias_init=(0.0, 0.0))
     state = init_swarm(cfg, replicate_rng(seed, 0))
@@ -215,8 +215,8 @@ class TestFullStepAgainstHandEvaluator:
             expected_v.append(vd)
             expected_bits.append(1 if draws[d] < 1.0 / (1.0 + math.exp(-vd)) else 0)
 
-        cfg = SimConfig(master_seed=3, design=DesignKind.FULLY_NETWORKED,
-                        tendency=Tendency.REACTIVE, dim=3, agents=2, v_max=v_max)
+        cfg = SimConfig(master_seed=3, design="fully_networked",
+                        tendency="reactive", dim=3, agents=2, v_max=v_max)
         state = init_swarm(cfg, replicate_rng(3, 0))
         state.goal = np.array(gb, dtype=np.int8)
         state.positions = np.array([gb, p], dtype=np.int8)

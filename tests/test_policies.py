@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, DesignKind, SimConfig, Tendency, init_swarm,
+from orgswarm import (ConfigError, SimConfig, init_swarm,
                       parse_config_dict, pressure, step)
 from orgswarm.engine import replicate_rng
 from orgswarm.policies import perceptive_shift, reactive_shift
@@ -22,7 +22,7 @@ class TestFeedbackSignal:
         # The engine's signal is previous minus current fitness: with
         # alpha = 1 the perceptive EMA equals it after one step, and the
         # reactive rule moves C1 by delta * sign(signal).
-        perceptive = scripted_state([[prev, new]], tendency=Tendency.PERCEPTIVE,
+        perceptive = scripted_state([[prev, new]], tendency="perceptive",
                                     alpha=1.0)
         reactive = scripted_state([[prev, new]], self_belief_init=(1.0, 1.5))
         step(perceptive)
@@ -57,8 +57,8 @@ class TestReactiveUpdate:
         assert c2 == pytest.approx(1.0)
 
     def test_inertia_never_adapted(self):
-        for tendency in Tendency:
-            cfg = SimConfig(master_seed=8, design=DesignKind.SILOED, silo_count=2,
+        for tendency in ("reactive", "perceptive"):
+            cfg = SimConfig(master_seed=8, design="siloed", silo_count=2,
                             tendency=tendency, dim=12, agents=6)
             state = init_swarm(cfg, replicate_rng(cfg.master_seed, 0))
             inertia = state.inertia.copy()

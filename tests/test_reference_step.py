@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import DesignKind, SimConfig, Tendency, init_swarm, run_replicate, step
+from orgswarm import SimConfig, init_swarm, run_replicate, step
 from orgswarm.engine import replicate_rng
 from reference_step import reference_hits, reference_step
 
@@ -29,12 +29,12 @@ def configs(draw):
     agents = draw(st.integers(1, 24))
     silos = draw(st.integers(1, agents))
     reshuffle_interval = draw(st.integers(1, 7))
-    design = draw(st.sampled_from(list(DesignKind)))
+    design = draw(st.sampled_from(["fully_networked", "siloed", "dynamic"]))
     coeff_min = draw(st.sampled_from([0.0, -0.0, -0.5, -2.0]))
     return SimConfig(
         master_seed=draw(st.integers(0, 2 ** 64 - 1)), design=design, silo_count=silos,
         reshuffle_interval=reshuffle_interval,
-        tendency=draw(st.sampled_from(list(Tendency))),
+        tendency=draw(st.sampled_from(["reactive", "perceptive"])),
         dim=draw(st.integers(1, 30)), agents=agents, max_iterations=60,
         v_max=draw(st.sampled_from([0.5, 4.0])),
         delta=draw(st.sampled_from([0.1, 0.3, 1.0, 1])),
@@ -56,8 +56,8 @@ def assert_same_bytes(engine, reference, t):
 
 
 def _config(**overrides):
-    base = dict(master_seed=7, design=DesignKind.DYNAMIC, silo_count=4, reshuffle_interval=1,
-                tendency=Tendency.REACTIVE, dim=12, agents=12, max_iterations=60)
+    base = dict(master_seed=7, design="dynamic", silo_count=4, reshuffle_interval=1,
+                tendency="reactive", dim=12, agents=12, max_iterations=60)
     return SimConfig(**{**base, **overrides})
 
 
@@ -65,17 +65,17 @@ def _config(**overrides):
 @given(configs(), st.integers(0, 3))
 @example(_config(), 0)
 @example(_config(gbest_mode="instantaneous", stochastic_acceleration=True), 1)
-@example(_config(tendency=Tendency.PERCEPTIVE, freeze_on_goal=True, dim=4,
+@example(_config(tendency="perceptive", freeze_on_goal=True, dim=4,
                  coeff_min=-0.0, self_belief_init=(-0.0, 1.5),
                  prestige_bias_init=(-0.0, 2.0)), 2)
 @example(_config(coeff_min=-0.5, delta=1.0, self_belief_init=(-0.5, 0.0),
                  prestige_bias_init=(-0.5, 0.0)), 3)
 @example(_config(delta=1, freeze_on_goal=True, dim=4), 0)  # an int delta is valid
-@example(_config(delta=1, tendency=Tendency.PERCEPTIVE), 1)
+@example(_config(delta=1, tendency="perceptive"), 1)
 @example(_config(delta=1, coeff_min=0, coeff_max=2, self_belief_init=(0, 2),  # all ints
                  prestige_bias_init=(1, 2), stochastic_acceleration=True), 2)
 @example(_config(delta=1, coeff_min=-1, coeff_max=3, inertia_init=(1, 1),
-                 tendency=Tendency.PERCEPTIVE, freeze_on_goal=True, dim=4), 3)
+                 tendency="perceptive", freeze_on_goal=True, dim=4), 3)
 def test_step_matches_reference_step(config, replicate):
     config.validate()
     engine = init_swarm(config, replicate_rng(config.master_seed, replicate))

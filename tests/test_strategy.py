@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from orgswarm import DesignKind, SimConfig, Tendency, fitness_many, init_swarm, to_bitstring
+from orgswarm import SimConfig, fitness_many, init_swarm, to_bitstring
 from orgswarm.engine import replicate_rng
 
 
@@ -18,8 +18,8 @@ def distance(a, b):
 
 
 def swarm(agents, dim, seed):
-    config = SimConfig(master_seed=seed, design=DesignKind.FULLY_NETWORKED,
-                       tendency=Tendency.REACTIVE, dim=dim, agents=agents)
+    config = SimConfig(master_seed=seed, design="fully_networked",
+                       tendency="reactive", dim=dim, agents=agents)
     config.validate()
     return init_swarm(config, replicate_rng(seed, 0))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import ConfigError, DesignKind, SimConfig, Tendency, build_assignment, reshuffle
+from orgswarm import ConfigError, SimConfig, build_assignment, reshuffle
 from orgswarm.topology import SiloAssignment, silo_leaders
 
 
@@ -23,20 +23,20 @@ def references(assignment, positions, fitnesses):
 
 class TestBuildAssignment:
     def test_fully_networked_single_silo(self):
-        a = build_assignment(DesignKind.FULLY_NETWORKED, 1, 20, rng())
+        a = build_assignment("fully_networked", 1, 20, rng())
         assert a.starts.size == 1
         assert (a.silo_of == 0).all()
 
     def test_balanced_partition_even(self):
-        a = build_assignment(DesignKind.SILOED, 5, 20, rng())
+        a = build_assignment("siloed", 5, 20, rng())
         assert sorted(sizes(a).tolist()) == [4, 4, 4, 4, 4]
 
     def test_balanced_partition_uneven(self):
-        a = build_assignment(DesignKind.SILOED, 3, 10, rng())
+        a = build_assignment("siloed", 3, 10, rng())
         assert sorted(sizes(a).tolist()) == [3, 3, 4]
 
     def test_each_agent_in_exactly_one_silo(self):
-        a = build_assignment(DesignKind.SILOED, 4, 18, rng(3))
+        a = build_assignment("siloed", 4, 18, rng(3))
         assert sorted(a.order.tolist()) == list(range(18))
         bounds = [*a.starts.tolist(), 18]
         for silo in range(a.starts.size):
@@ -45,30 +45,30 @@ class TestBuildAssignment:
     def test_too_many_silos_rejected(self):
         # checked once, at the config boundary
         with pytest.raises(ConfigError) as err:
-            SimConfig(master_seed=1, design=DesignKind.SILOED, tendency=Tendency.REACTIVE,
+            SimConfig(master_seed=1, design="siloed", tendency="reactive",
                       silo_count=30, agents=20).validate()
         assert err.value.fields == ["silo_count"]
 
     def test_deterministic(self):
-        a = build_assignment(DesignKind.SILOED, 5, 20, rng(42))
-        b = build_assignment(DesignKind.SILOED, 5, 20, rng(42))
+        a = build_assignment("siloed", 5, 20, rng(42))
+        b = build_assignment("siloed", 5, 20, rng(42))
         assert np.array_equal(a.silo_of, b.silo_of)
 
 
 class TestReshuffle:
     def test_sizes_preserved(self):
-        a = build_assignment(DesignKind.DYNAMIC, 5, 20, rng(1))
+        a = build_assignment("dynamic", 5, 20, rng(1))
         b = reshuffle(a, rng(2))
         assert sorted(sizes(b).tolist()) == sorted(sizes(a).tolist())
         assert b.starts.size == a.starts.size
 
     def test_deterministic(self):
-        a = build_assignment(DesignKind.SILOED, 5, 20, rng(1))
+        a = build_assignment("siloed", 5, 20, rng(1))
         assert np.array_equal(reshuffle(a, rng(9)).silo_of,
                               reshuffle(a, rng(9)).silo_of)
 
     def test_invariants_hold_after_many_reshuffles(self):
-        a = build_assignment(DesignKind.SILOED, 3, 10, rng(5))
+        a = build_assignment("siloed", 3, 10, rng(5))
         starts = a.starts.copy()
         r = rng(6)
         for _ in range(200):
@@ -84,7 +84,7 @@ class TestReshuffle:
         # by direct simulation.
         n, silos, trials = 20, 5, 1000
         expected = 3 / 19
-        a = build_assignment(DesignKind.SILOED, silos, n, rng(8))
+        a = build_assignment("siloed", silos, n, rng(8))
         r = rng(8)
         together = np.zeros((n, n))
         for _ in range(trials):
@@ -98,13 +98,13 @@ class TestReshuffle:
 
 class TestNeighborhoodBest:
     def test_fully_networked_argmin(self):
-        a = build_assignment(DesignKind.FULLY_NETWORKED, 1, 3, rng())
+        a = build_assignment("fully_networked", 1, 3, rng())
         positions = np.array([[0, 0], [1, 1], [1, 0]], dtype=np.int8)
         fits = np.array([3, 1, 2])
         assert np.array_equal(references(a, positions, fits)[0][0], [1, 1])
 
     def test_tie_breaks_to_lowest_index(self):
-        a = build_assignment(DesignKind.FULLY_NETWORKED, 1, 3, rng())
+        a = build_assignment("fully_networked", 1, 3, rng())
         positions = np.array([[0, 0], [1, 1], [1, 0]], dtype=np.int8)
         fits = np.array([2, 2, 3])
         assert silo_leaders(a, fits).tolist() == [0]
@@ -123,7 +123,7 @@ class TestNeighborhoodBest:
 
     def test_fully_networked_reference_identical_for_all(self):
         r = rng(12)
-        a = build_assignment(DesignKind.FULLY_NETWORKED, 1, 8, r)
+        a = build_assignment("fully_networked", 1, 8, r)
         positions = r.integers(0, 2, (8, 6), dtype=np.int8)
         fits = r.integers(0, 7, 8)
         gb, gb_fit = references(a, positions, fits)
@@ -134,7 +134,7 @@ class TestNeighborhoodBest:
         # brute force: agent i sees the silo-mate with the lowest
         # (fitness, index)
         r = rng(13)
-        a = build_assignment(DesignKind.SILOED, 3, 9, r)
+        a = build_assignment("siloed", 3, 9, r)
         positions = r.integers(0, 2, (9, 5), dtype=np.int8)
         fits = r.integers(0, 6, 9)
         gb_all, _ = references(a, positions, fits)
@@ -145,7 +145,7 @@ class TestNeighborhoodBest:
 
     def test_leader_fitness_is_lower_bound(self):
         r = rng(14)
-        a = build_assignment(DesignKind.FULLY_NETWORKED, 1, 10, r)
+        a = build_assignment("fully_networked", 1, 10, r)
         fits = r.integers(0, 20, 10)
         leaders = silo_leaders(a, fits)
         assert fits[leaders[0]] == fits.min()
@@ -154,7 +154,7 @@ class TestNeighborhoodBest:
         # Simulate monotone personal-best improvement; the silo reference
         # fitness must never increase while membership is fixed.
         r = rng(15)
-        a = build_assignment(DesignKind.SILOED, 4, 12, r)
+        a = build_assignment("siloed", 4, 12, r)
         fits = r.integers(5, 25, 12)
         prev_ref = fits[silo_leaders(a, fits)]
         for _ in range(100):
@@ -168,7 +168,7 @@ class TestNeighborhoodBest:
 class TestAssignmentInvariants:
     def test_design_validation(self):
         def bad_fields(design, agents=10, **options):
-            config = SimConfig(master_seed=1, design=design, tendency=Tendency.REACTIVE,
+            config = SimConfig(master_seed=1, design=design, tendency="reactive",
                                agents=agents, **options)
             try:
                 config.validate()
@@ -176,13 +176,13 @@ class TestAssignmentInvariants:
                 return e.fields
             return []
 
-        assert bad_fields(DesignKind.FULLY_NETWORKED, agents=5) == []
-        assert bad_fields(DesignKind.SILOED, silo_count=3) == []
-        assert bad_fields(DesignKind.SILOED, silo_count=11) == ["silo_count"]
-        assert bad_fields(DesignKind.SILOED, silo_count="5") == ["silo_count"]
-        assert bad_fields(DesignKind.DYNAMIC, silo_count=2,
+        assert bad_fields("fully_networked", agents=5) == []
+        assert bad_fields("siloed", silo_count=3) == []
+        assert bad_fields("siloed", silo_count=11) == ["silo_count"]
+        assert bad_fields("siloed", silo_count="5") == ["silo_count"]
+        assert bad_fields("dynamic", silo_count=2,
                           reshuffle_interval=0) == ["reshuffle_interval"]
-        assert bad_fields(DesignKind.DYNAMIC, silo_count=2,
+        assert bad_fields("dynamic", silo_count=2,
                           reshuffle_interval=True) == ["reshuffle_interval"]
 
 
@@ -209,7 +209,7 @@ def test_leaders_match_brute_force(agents, silos, seed, reshuffles, top):
     # Small ``top`` gives heavy fitness ties; reshuffles redraw the partition.
     silos = min(silos, agents)
     r = rng(seed)
-    design = DesignKind.FULLY_NETWORKED if silos == 1 else DesignKind.SILOED
+    design = "fully_networked" if silos == 1 else "siloed"
     a = build_assignment(design, silos, agents, r)
     for _ in range(reshuffles):
         a = reshuffle(a, r)
