@@ -234,12 +234,14 @@ def step(state: SwarmState) -> SwarmState:
     ``freeze_on_goal`` freezes the agents whose personal best is 0. Historical
     neighbourhood bests (``bests[1]``) are kept until a reshuffle or a step
     improving a personal best; a step improving none skips the personal-best
-    writes. Velocities are updated and clamped in place (a new array with
-    ``freeze_on_goal``). The (2, N, D) ``work`` buffer holds the C1 and C2
-    pulls, then the binarization uniforms and the bit probabilities. Each
-    step's fitness, silo and coefficient arrays are new objects, never written
-    in place, so the trace rows that :func:`run_replicate` keeps without
-    copying hold their values.
+    writes. Velocities are updated and clamped in place on every path. A
+    frozen agent keeps only its position and its coefficients, the values an
+    output reads; its velocity and feedback EMA run on unread (its personal
+    best stays 0, so it stays frozen). The (2, N, D) ``work`` buffer holds the
+    C1 and C2 pulls, then the binarization uniforms and the bit probabilities.
+    Each step's fitness, silo and coefficient arrays are new objects, never
+    written in place, so the trace rows that :func:`run_replicate` keeps
+    without copying hold their values.
     """
     cfg = state.config
     t = state.t + 1
@@ -263,22 +265,17 @@ def step(state: SwarmState) -> SwarmState:
     coefficients = state.coefficients[:, :, None]
     if cfg.stochastic_acceleration:
         coefficients = np.multiply(coefficients, state.rng.random(out=work), out=work)
-    # in place, except with freeze_on_goal: frozen agents keep the old velocities
     vel = update_velocity(state.velocities, state.positions, bests, state.inertia[:, None],
-                          coefficients, out=None if cfg.freeze_on_goal else state.velocities,
-                          work=work)
-    vel = clamp_velocity(vel, cfg.v_max, out=vel)
+                          coefficients, out=state.velocities, work=work)
+    clamp_velocity(vel, cfg.v_max, out=vel)
     # the spent pulls take the uniforms and the probabilities; bool and int8
     # share a byte layout, so the view gives the 0/1 bits without a copy
     new_pos = (state.rng.random(out=work[0]) < sigmoid(vel, out=work[1])).view(BIT_DTYPE)
 
     if cfg.freeze_on_goal:
         live = state.pbest_fitness > 0  # not yet hit (a new array)
-        frozen = ~live[:, None]
-        np.copyto(new_pos, state.positions, where=frozen)
-        np.copyto(vel, state.velocities, where=frozen)
+        np.copyto(new_pos, state.positions, where=~live[:, None])
 
-    state.velocities = vel
     state.positions = new_pos
     fit = fitness_many(new_pos, state.goal)
     signal = state.fitness - fit
@@ -294,8 +291,7 @@ def step(state: SwarmState) -> SwarmState:
     ema, coefficients = perceptive_shift(state.feedback_ema, state.coefficients, signal, t,
                                          cfg.pressure_horizon, alpha, cfg.delta,
                                          cfg.coeff_min, cfg.coeff_max)
-    if cfg.freeze_on_goal:  # new arrays that keep the frozen agents' values
-        ema = np.where(live, ema, state.feedback_ema)
+    if cfg.freeze_on_goal:  # a new array that keeps the frozen agents' coefficients
         coefficients = np.where(live, coefficients, state.coefficients)
     state.feedback_ema, state.coefficients = ema, coefficients
     state.t = t

@@ -12,9 +12,10 @@ writes each replicate's per-agent trace as it ends: no full trace crosses the po
 Outputs go through one writer, ``_write_csv``, and one cell rule, ``_CELL``:
 an int column prints with ``%d``, a float column with ``%.6g`` (the text of
 ``f"{x:.6g}"``), a str column with ``%s``, a missing (None) cell empty. Each
-file's row format is built once from its column types (a trace file's also
-holds its fixed ``W_*`` cells). Arms are written in label order and all row
-orders are fixed, so a spec gives byte-identical files at any worker count:
+file's row format is built once from its column types; ``_write_trace`` lays
+out each trace file from its replicate's own arrays, fixed ``W_*`` cells
+included. Arms are written in label order and all row orders are fixed, so a
+spec gives byte-identical files at any worker count:
 
 * ``summary.csv``   one row per replicate
 * ``arms.csv``      one row per arm
@@ -193,17 +194,11 @@ def _run_block(config: SimConfig, start: int, trace_dir: Path | None) -> list[Re
     """Replicates ``start .. start + _BLOCK - 1`` of one arm, in index order. With
     ``trace_dir`` each one's per-agent trace file is written there as it ends and
     its full trace dropped, so no full trace outlives its replicate or leaves the block."""
-    if trace_dir is not None:  # a trace file's header and row formats around its W_* cells
-        header = ",".join(["iteration", "best_fitness", "mean_fitness"] + [
-            f"{column}{i}" for column in ("fitness_of_agent_", "silo_of_agent_", "W_", "C1_",
-                                          "C2_") for i in range(config.agents)])
-        before_w = _row_format((int, int, float, *[int] * (2 * config.agents)))
-        after_w = _row_format([float] * (2 * config.agents))
     results = []
     for i in range(start, min(start + _BLOCK, config.replicates)):
         r = run_replicate(config, i, full=trace_dir is not None)
         if trace_dir is not None:
-            _write_trace(trace_dir / f"replicate_{i}.csv", r, header, before_w, after_w)
+            _write_trace(trace_dir / f"replicate_{i}.csv", r)
             r.full_trace = None  # in place: a wrapper of run_replicate may have tagged r
         results.append(r)
     return results
@@ -222,11 +217,10 @@ def _maybe(kind: type, value) -> str:
     return "" if value is None else _CELL[kind] % value
 
 
-def _write_csv(path: Path, header: str, fmt: str, rows, comment: str | None = None) -> None:
-    """One CSV file: an optional ``# comment`` line, the header line, then
-    ``fmt % row`` for each row tuple (``fmt`` built by :func:`_row_format`)."""
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(header)
+def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
+    """One CSV file: the header (one line or more), then ``fmt % row`` for each
+    row tuple (``fmt`` built by :func:`_row_format`)."""
+    lines = [header]
     lines += [fmt % row for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -346,16 +340,20 @@ def _write_tables(output: ExperimentOutput) -> None:
                        zip(itertools.count(1), s.curve_best.tolist(), s.curve_mean.tolist()))
 
 
-def _write_trace(path: Path, r: ReplicateResult, header: str, before_w: str,
-                 after_w: str) -> None:
-    """One replicate's per-agent trace file; its row format holds the
-    replicate's fixed ``W_*`` (inertia) cells between ``before_w`` and ``after_w``."""
+def _write_trace(path: Path, r: ReplicateResult) -> None:
+    """One replicate's per-agent trace file, laid out from its own arrays (N agents):
+    a ``# goal=`` line and the header of 3 + 5N names, then one row per t, whose
+    row format holds the replicate's fixed ``W_*`` (inertia) cells."""
     ft = r.full_trace
-    w_cells = ",".join([_CELL[float] % w for w in ft["inertia"].tolist()])
+    n = ft["inertia"].size
+    header = ",".join(["iteration", "best_fitness", "mean_fitness"] + [
+        f"{column}{i}" for column in ("fitness_of_agent_", "silo_of_agent_", "W_", "C1_", "C2_")
+        for i in range(n)])
+    fmt = ",".join([_row_format((int, int, float, *[int] * (2 * n))),
+                    *[_CELL[float] % w for w in ft["inertia"].tolist()],
+                    _row_format([float] * (2 * n))])
     columns = zip(itertools.count(), r.trace_best.tolist(), r.trace_mean.tolist(),
-                  np.hstack([ft["fitness"], ft["silo"]]),
-                  np.hstack([ft["self_belief"], ft["prestige_bias"]]))
-    _write_csv(path, header, f"{before_w},{w_cells},{after_w}",
-               ((t, best, mean, *ints.tolist(), *floats.tolist())
-                for t, best, mean, ints, floats in columns),
-               comment=f"goal={to_bitstring(r.goal)}")
+                  np.hstack([ft["fitness"], ft["silo"]]).tolist(),
+                  np.hstack([ft["self_belief"], ft["prestige_bias"]]).tolist())
+    _write_csv(path, f"# goal={to_bitstring(r.goal)}\n{header}", fmt,
+               ((t, best, mean, *ints, *floats) for t, best, mean, ints, floats in columns))

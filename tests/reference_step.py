@@ -2,8 +2,10 @@
 
 ``reference_step`` recomputes the neighbourhood bests on every step,
 allocates every intermediate, writes every personal best, and writes the
-frozen agents' coefficients back in place: the plain reading of the model,
-with no cache and no buffer. It keeps C1 and C2 apart, draws their
+frozen agents' positions and coefficients back: the plain reading of the
+model, with no cache and no buffer. A frozen agent pins only those two, the
+values an output reads; its velocity and feedback EMA are updated like any
+other agent's. It keeps C1 and C2 apart, draws their
 multipliers as two (N, D) blocks, and stores fresh stacked arrays back into
 the state. It evaluates the same floating-point expressions in the same
 order and draws the same random numbers as ``engine.step``, so the two must
@@ -56,10 +58,8 @@ def reference_step(state):
     new_pos = (uniforms < probability).astype(BIT_DTYPE)
 
     if cfg.freeze_on_goal:
-        live = state.pbest_fitness > 0  # an agent has hit iff its personal best is 0
-        frozen = ~live[:, None]
-        new_pos = np.where(frozen, state.positions, new_pos)
-        vel = np.where(frozen, state.velocities, vel)
+        frozen = state.pbest_fitness == 0  # an agent has hit iff its personal best is 0
+        new_pos = np.where(frozen[:, None], state.positions, new_pos)
 
     state.velocities = vel
     state.positions = new_pos
@@ -71,28 +71,21 @@ def reference_step(state):
     pbest = np.where(improved[:, None], new_pos, pbest)
     state.pbest_fitness = np.minimum(state.pbest_fitness, fit)
 
-    ema = state.feedback_ema.copy()
-    sub_ema, sub_belief, sub_bias, sub_signal = ema, belief, bias, signal
-    if cfg.freeze_on_goal:
-        sub_ema, sub_belief, sub_bias = ema[live], belief[live], bias[live]
-        sub_signal = signal[live]
     if cfg.tendency == "reactive":
-        sub_ema = sub_signal.astype(float)  # the engine's reactive rule is alpha = 1
+        ema = signal.astype(float)  # the engine's reactive rule is alpha = 1
         step_size = cfg.delta
     else:
-        sub_ema = (1.0 - cfg.alpha) * sub_ema + cfg.alpha * sub_signal
+        ema = (1.0 - cfg.alpha) * state.feedback_ema + cfg.alpha * signal
         press = pressure(t, cfg.pressure_horizon)
         step_size = cfg.delta * (press + (1.0 - press) * cfg.alpha)
-        sub_signal = sub_ema
-    move = step_size * np.sign(sub_signal)
-    sub_belief = _clamp(sub_belief + move, cfg.coeff_min, cfg.coeff_max)
-    sub_bias = _clamp(sub_bias - move, cfg.coeff_min, cfg.coeff_max)
+        signal = ema
+    move = step_size * np.sign(signal)
+    new_belief = _clamp(belief + move, cfg.coeff_min, cfg.coeff_max)
+    new_bias = _clamp(bias - move, cfg.coeff_min, cfg.coeff_max)
     if cfg.freeze_on_goal:
-        ema[live], belief[live], bias[live] = sub_ema, sub_belief, sub_bias
-    else:
-        ema, belief, bias = sub_ema, sub_belief, sub_bias
+        new_belief[frozen], new_bias[frozen] = belief[frozen], bias[frozen]
     state.feedback_ema = ema
-    state.coefficients = np.stack([belief, bias])
+    state.coefficients = np.stack([new_belief, new_bias])
     state.bests = np.stack([pbest, gbest])
     state.work = np.stack([uniforms, probability])
     state.t = t

@@ -2,7 +2,8 @@
 BENCH_4.json's grid_serial pairs, whose medians, interquartile range, wins
 and median reduction were computed without it; its ``--profile`` script,
 run on a one-replicate workload; and the parts of ``--tier1`` that do not
-run Tier-1 (the summary-line parser and the direction of its wall time)."""
+run Tier-1 (the summary-line parser and the direction of its wall time); and
+the types of the host description a record carries."""
 
 import importlib.util
 import json
@@ -46,6 +47,13 @@ def test_wins_follow_each_metric_direction():
     assert summary["change_wins_grid_serial.rep_iters_per_s"] == 0  # higher is better
     assert summary["change_wins_engine.step.calls"] == 0        # a tie counts for neither
     assert summary["parent_quartiles_grid_serial.wall_s"] is None  # one pair has none
+
+
+def test_host_names_cpu_and_simd_level():
+    host = bench_pairs.host()
+    assert isinstance(host["cpu"], str)
+    assert isinstance(host["simd"], list) and all(isinstance(f, str) for f in host["simd"])
+    assert isinstance(host["numpy"], str) and isinstance(host["nproc"], int)
 
 
 @pytest.mark.parametrize("line,passed,failed", [

@@ -307,6 +307,25 @@ class TestRun:
         assert err.startswith("out of memory: ") and err.count("\n") == 1
         assert "agents" in err and "dim" in err
 
+    @pytest.mark.parametrize("trace", ["group", "full"])
+    def test_out_of_memory_under_an_address_space_cap_exit_5(self, tmp_path, trace):
+        # numpy's refusal of the swarm must be the first failure at every trace
+        # level: nothing sized by agents (a trace header has 5 names per agent)
+        # may be built before a replicate runs. The run is a child capped at 1 GiB
+        # of address space, so such a build fails fast there and spares this process.
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+        config = {"master_seed": 1, "replicates": 1, "agents": 1_000_000_000,
+                  "dim": 10_000_000, "workers": 1, "trace": trace}
+        proc = subprocess.run(
+            [sys.executable, "-m", "orgswarm", "run", "--config", write_config(tmp_path, config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**_package_env(), "OPENBLAS_NUM_THREADS": "1"},  # few thread stacks to map
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith("out of memory: Unable to allocate "), proc.stderr
+
 
 def _exit_process(*args, **kwargs):
     os._exit(1)

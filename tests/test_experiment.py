@@ -458,6 +458,41 @@ class TestTraceLevels:
         for results in output.results.values():
             assert all(r.full_trace is None for r in results)
 
+    def test_each_arms_trace_files_have_their_own_layout(self, tmp_path):
+        arms = [{"design": "siloed", "tendency": "reactive", "agents": n, "label": f"n{n}"}
+                for n in (3, 5)]
+        run_experiment(parse_config_dict({**TINY, "replicates": 2, "trace": "full",
+                                          "arms": arms}), out_dir=tmp_path)
+        goal_rows = (tmp_path / "goals.csv").read_text().splitlines()[1:]
+        goals = {(arm, int(i)): goal for arm, i, goal in (row.split(",") for row in goal_rows)}
+        for n in (3, 5):
+            for i in range(2):
+                path = tmp_path / "traces" / f"n{n}" / f"replicate_{i}.csv"
+                goal, header, rows = _read_trace(path)
+                assert goal == goals[f"n{n}", i]
+                assert len(header) == 3 + 5 * n and header[-1] == f"C2_{n - 1}"
+                assert rows and all(len(row) == 3 + 5 * n for row in rows)
+
+    def test_a_frozen_agent_keeps_its_goal_and_coefficients(self, tmp_path):
+        # read from the trace files: from the row where an agent first reads 0,
+        # its fitness stays 0 and its C1 and C2 cells stay the same to the end
+        run_experiment(parse_config_dict({**TINY, "trace": "full", "freeze_on_goal": True}),
+                       out_dir=tmp_path)
+        rows_after_hits = 0
+        for path in sorted((tmp_path / "traces").rglob("replicate_*.csv")):
+            _, header, rows = _read_trace(path)
+            for i in range(TINY["agents"]):
+                fitness, c1, c2 = (header.index(f"{name}{i}")
+                                   for name in ("fitness_of_agent_", "C1_", "C2_"))
+                hit = next((t for t, row in enumerate(rows) if row[fitness] == "0"), None)
+                if hit is None:
+                    continue
+                for row in rows[hit:]:
+                    assert (row[fitness], row[c1], row[c2]) == (
+                        "0", rows[hit][c1], rows[hit][c2]), (path, i)
+                rows_after_hits += len(rows) - hit - 1
+        assert rows_after_hits > 0  # some agent hit before its replicate's last row
+
     @pytest.mark.parametrize("traced", [True, False], ids=["trace_dir", "no_trace_dir"])
     def test_run_block_writes_exactly_its_replicates_traces(self, tmp_path, monkeypatch,
                                                              traced):
@@ -477,3 +512,10 @@ class TestTraceLevels:
         written = sorted(path.name for path in tmp_path.rglob("*"))
         assert written == sorted(["traces"] + [f"replicate_{i}.csv" for i in range(25, 30)
                                                if traced])
+
+
+def _read_trace(path):
+    """A trace file's goal bitstring, header names and rows of cells."""
+    goal_line, header, *rows = path.read_text().splitlines()
+    assert goal_line.startswith("# goal=")
+    return goal_line[len("# goal="):], header.split(","), [row.split(",") for row in rows]

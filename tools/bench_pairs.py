@@ -38,7 +38,9 @@ and ``tier1_failed`` counts and the summary line of pytest, summarized as
 above.
 
 ``--out FILE --key NAME`` stores the record as ``FILE[NAME]``, with the
-host's description under ``FILE["host"]``; otherwise it goes to stdout.
+host's description under ``FILE["host"]`` (CPU count and model, Python and
+numpy versions, numpy's active SIMD dispatch targets); otherwise it goes to
+stdout.
 Progress goes to stderr. The tool may be run from any directory: each
 side's benchmark runs from that side's root.
 """
@@ -264,11 +266,36 @@ def profile_record(args, parent_root: Path, parent: str) -> dict:
     return record
 
 
+# numpy's version and the dispatch targets it uses above its baseline, whose
+# level sigmoid's np.exp bits follow (as tests/test_golden.py reads them)
+NUMPY = """
+import json, numpy
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(json.dumps({"numpy": numpy.__version__,
+                  "simd": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]}))
+"""
+
+
+def cpu_model() -> str:
+    """The first ``model name`` of /proc/cpuinfo, else ``platform.processor()``."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
 def host() -> dict:
-    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                           capture_output=True, text=True).stdout.strip()
+    proc = subprocess.run([sys.executable, "-c", NUMPY], capture_output=True, text=True)
+    numpy = json.loads(proc.stdout) if proc.returncode == 0 else {"numpy": None, "simd": None}
     return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-            "numpy": numpy or None}
+            "cpu": cpu_model(), **numpy}
 
 
 def main() -> int:
