@@ -5,23 +5,21 @@ Agents search a binary strategy space under swarm-kinematic update rules
 communication design (fully networked, siloed, or dynamically reshuffled
 silos) and a behavioral feedback policy (reactive or perceptive). The
 package measures iterations-to-goal per agent and per group across seeded,
-reproducible replicates.
+reproducible replicates. The root exports what the demos use; every other
+name is imported from its own module (``orgswarm.engine``, ``.stats``, ...).
 """
 
-from .engine import ReplicateResult, SimConfig, init_swarm, run_replicate, step
+from .engine import SimConfig, run_replicate
 from .errors import ConfigError
-from .experiment import parse_config, parse_config_dict, run_experiment
+from .experiment import parse_config_dict, run_experiment
 from .kinematics import clamp_velocity, sigmoid, update_velocity
-from .policies import pressure
-from .stats import aggregate_arm, mann_whitney_u
-from .strategy import fitness_many, to_bitstring
-from .topology import build_assignment, reshuffle
+from .stats import mann_whitney_u
+from .strategy import to_bitstring
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "ReplicateResult", "SimConfig", "aggregate_arm", "build_assignment",
-    "clamp_velocity", "fitness_many", "init_swarm", "mann_whitney_u", "parse_config",
-    "parse_config_dict", "pressure", "reshuffle", "run_experiment", "run_replicate",
-    "sigmoid", "step", "to_bitstring", "update_velocity", "__version__",
+    "ConfigError", "SimConfig", "clamp_velocity", "mann_whitney_u", "parse_config_dict",
+    "run_experiment", "run_replicate", "sigmoid", "to_bitstring", "update_velocity",
+    "__version__",
 ]

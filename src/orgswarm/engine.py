@@ -133,7 +133,7 @@ class SimConfig:
         lo, hi = self.coeff_min, self.coeff_max
         if not bad.keys() & {"coeff_min", "coeff_max"}:
             if lo > hi:
-                bad["coeff_max"] = f"coeff bounds (min <= max required, got [{lo}, {hi}])"
+                bad["coeff_max"] = f"coeff_max (real >= coeff_min {lo!r} required, got {hi!r})"
             else:
                 for name in ("inertia_init", "self_belief_init", "prestige_bias_init"):
                     pair = getattr(self, name)
@@ -183,8 +183,8 @@ class ReplicateResult:
     trace_best: np.ndarray             # t = 0..iterations_run
     trace_mean: np.ndarray
     final_best_fitness: int            # min fitness in the trace (= min pbest)
-    # with full: "fitness", "silo", "self_belief", "prestige_bias" at
-    # t = 0..iterations_run as (iterations_run + 1, N) arrays; "inertia" (N,)
+    # with full, at t = 0..iterations_run: "fitness" and "silo" (iterations_run + 1, N),
+    # "coefficients" (iterations_run + 1, 2, N) as [C1; C2]; and "inertia" (N,)
     full_trace: dict | None = None
 
     @property
@@ -320,8 +320,8 @@ def run_replicate(config: SimConfig, replicate_index: int, *, full=False) -> Rep
     full_trace = None
     if full:
         silo, coefficients = (np.array(column) for column in zip(*full_rows))
-        full_trace = {"fitness": fitness, "silo": silo, "inertia": state.inertia,
-                      "self_belief": coefficients[:, 0], "prestige_bias": coefficients[:, 1]}
+        full_trace = {"fitness": fitness, "silo": silo, "coefficients": coefficients,
+                      "inertia": state.inertia}
     return ReplicateResult(
         replicate_index=replicate_index,
         goal=state.goal,

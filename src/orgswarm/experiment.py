@@ -9,13 +9,14 @@ Each arm runs as the same blocks of 25 replicates at every worker count,
 through ``map`` at one worker and a process pool's ``map`` otherwise. A block
 writes each replicate's per-agent trace as it ends: no full trace crosses the pool.
 
-Outputs go through one writer, ``_write_csv``, and one cell rule, ``_CELL``:
-an int column prints with ``%d``, a float column with ``%.6g`` (the text of
-``f"{x:.6g}"``), a str column with ``%s``, a missing (None) cell empty. Each
-file's row format is built once from its column types; ``_write_trace`` lays
-out each trace file from its replicate's own arrays, fixed ``W_*`` cells
-included. Arms are written in label order and all row orders are fixed, so a
-spec gives byte-identical files at any worker count:
+Outputs go through one writer, ``_write_csv``, which alone makes their
+subdirectories, and one cell rule, ``_CELL``: an int column prints with ``%d``,
+a float column with ``%.6g`` (the text of ``f"{x:.6g}"``), a str column with
+``%s``, a missing (None) cell empty. Each file's row format is built once from
+its column types; ``_write_trace`` lays out each trace file from its
+replicate's own arrays, fixed ``W_*`` cells included. Arms are written in label
+order and all row orders are fixed, so a spec gives byte-identical files at
+any worker count:
 
 * ``summary.csv``   one row per replicate
 * ``arms.csv``      one row per arm
@@ -138,7 +139,7 @@ def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
     arms: list[Arm] = []
     for i, entry in enumerate(arm_entries):
         if not isinstance(entry, dict):
-            raise ConfigError(f"arm {i} must be an object", fields=["arms"])
+            raise ConfigError(f"arms: arm {i} must be an object", fields=["arms"])
         unknown = sorted(set(entry) - _ARM_KEYS)
         if unknown:
             raise ConfigError(f"arm {i}: unknown keys: {', '.join(unknown)}", fields=unknown)
@@ -218,10 +219,11 @@ def _maybe(kind: type, value) -> str:
 
 
 def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
-    """One CSV file: the header (one line or more), then ``fmt % row`` for each
-    row tuple (``fmt`` built by :func:`_row_format`)."""
+    """One CSV file, its directory made if missing (pool workers may race): the header
+    (one line or more), then ``fmt % row`` for each row tuple (see :func:`_row_format`)."""
     lines = [header]
     lines += [fmt % row for row in rows]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -250,13 +252,11 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     spec.validate()
     arms = sorted(spec.arms, key=lambda arm: arm.label)
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # before any replicate runs: a bad out_dir fails first
 
-    trace_dirs = {arm.label: out / "traces" / arm.label for arm in arms if spec.trace == "full"}
-    for trace_dir in trace_dirs.values():  # made before any block runs, so no worker races
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    blocks = [(arm.label, arm.config, start, trace_dirs.get(arm.label)) for arm in arms
-              for start in range(0, arm.config.replicates, _BLOCK)]
+    blocks = [(arm.label, arm.config, start,
+               out / "traces" / arm.label if spec.trace == "full" else None)
+              for arm in arms for start in range(0, arm.config.replicates, _BLOCK)]
     labels, *columns = zip(*blocks)
     cpu = os.cpu_count() or 1
     workers = min(spec.workers or cpu, cpu, len(blocks))
@@ -332,7 +332,6 @@ def _write_tables(output: ExperimentOutput) -> None:
     _write_csv(out / "goals.csv", "arm,replicate,goal", _row_format((str, int, str)),
                ((label, r.replicate_index, to_bitstring(r.goal)) for label, r in replicates))
     if output.spec.trace != "none":
-        (out / "curves").mkdir(exist_ok=True)
         for s in output.summaries:
             _write_csv(out / "curves" / f"{s.label}.csv",
                        "iteration,mean_best_fitness,mean_mean_fitness",
@@ -354,6 +353,6 @@ def _write_trace(path: Path, r: ReplicateResult) -> None:
                     _row_format([float] * (2 * n))])
     columns = zip(itertools.count(), r.trace_best.tolist(), r.trace_mean.tolist(),
                   np.hstack([ft["fitness"], ft["silo"]]).tolist(),
-                  np.hstack([ft["self_belief"], ft["prestige_bias"]]).tolist())
+                  ft["coefficients"].reshape(len(ft["fitness"]), -1).tolist())
     _write_csv(path, f"# goal={to_bitstring(r.goal)}\n{header}", fmt,
                ((t, best, mean, *ints, *floats) for t, best, mean, ints, floats in columns))

@@ -7,7 +7,8 @@ always sets the bit and a draw of 1.0 never does, whatever the velocity.
 
 import numpy as np
 
-from orgswarm import SimConfig, init_swarm
+from orgswarm import SimConfig
+from orgswarm.engine import init_swarm
 
 
 class ScriptedRng:

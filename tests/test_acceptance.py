@@ -14,10 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from orgswarm import (SimConfig, clamp_velocity, init_swarm,
-                      mann_whitney_u, parse_config_dict, run_experiment, run_replicate,
-                      step)
-from orgswarm.engine import replicate_rng
+from orgswarm import (SimConfig, clamp_velocity, mann_whitney_u, parse_config_dict,
+                      run_experiment, run_replicate)
+from orgswarm.engine import init_swarm, replicate_rng, step
 from orgswarm.topology import build_assignment, reshuffle
 
 ACCEPTANCE_SEED = 20260808
@@ -276,8 +275,7 @@ def test_criterion_4_statistics_oracle():
                 assert got.p_value == pytest.approx(p_ref, abs=1e-12), (a, b)
                 checked += 1
 
-    from orgswarm import aggregate_arm
-    from orgswarm.stats import median_ratio
+    from orgswarm.stats import aggregate_arm, median_ratio
     from test_stats import FakeResult
     assert aggregate_arm([FakeResult(v) for v in (10, 20, 30)],
                          "x", 100).median_group_convergence == 20

@@ -91,8 +91,8 @@ def test_trace_file_matches_per_cell_oracle(tmp_path):
     for t in range(r.iterations_run + 1):
         fitness = ft["fitness"][t].tolist()
         cells = [t, min(fitness), sum(fitness) / n, *fitness, *ft["silo"][t].tolist(),
-                 *ft["inertia"].tolist(), *ft["self_belief"][t].tolist(),
-                 *ft["prestige_bias"][t].tolist()]
+                 *ft["inertia"].tolist(), *ft["coefficients"][t, 0].tolist(),
+                 *ft["coefficients"][t, 1].tolist()]
         assert len(cells) == 3 + 5 * n
         lines.append(",".join(map(oracle, cells)))
     assert r.iterations_run > 1

@@ -162,6 +162,14 @@ class TestRun:
                    write_config(tmp_path, {**TINY, "alpha": 5.0})])
         assert rc == 2
 
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", write_config(tmp_path, [TINY]),
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("override,field", [
         ({"delta": "0.1"}, "delta"),
         ({"v_max": "4"}, "v_max"),
@@ -193,6 +201,10 @@ class TestRun:
         ({"arms": [{"design": None, "tendency": "reactive"}]}, "design"),
         ({"arms": [{"design": "Siloed", "tendency": "reactive"}]}, "design"),
         ({"arms": [{"design": "siloed", "tendency": {"a": 1}}]}, "tendency"),
+        ({"coeff_min": 3, "coeff_max": 2}, "coeff_max"),
+        ({"arms": [1]}, "arms"),
+        ({"arms": {}}, "arms"),
+        ({"arms": [{"design": "siloed"}]}, "tendency"),
     ])
     def test_wrong_typed_value_exit_2(self, tmp_path, capsys, override, field):
         out_dir = tmp_path / "out"
@@ -306,6 +318,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("out of memory: ") and err.count("\n") == 1
         assert "agents" in err and "dim" in err
+
+    def test_out_of_memory_at_trace_full_leaves_out_empty(self, tmp_path, capsys):
+        # the engine fails before a replicate ends, so no trace directory is made
+        config = {"master_seed": 1, "replicates": 1, "agents": 1_000_000_000,
+                  "dim": 10_000_000, "workers": 1, "trace": "full"}
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", write_config(tmp_path, config), "--out", str(out_dir)])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("out of memory: ")
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("trace", ["group", "full"])
     def test_out_of_memory_under_an_address_space_cap_exit_5(self, tmp_path, trace):

@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, SimConfig, init_swarm,
-                      parse_config_dict, run_experiment, run_replicate, step)
-from orgswarm.engine import derive_replicate_seed, replicate_rng
+from orgswarm import ConfigError, SimConfig, parse_config_dict, run_experiment, run_replicate
+from orgswarm.engine import derive_replicate_seed, init_swarm, replicate_rng, step
 from reference_step import reference_hits
 
 
@@ -281,8 +280,10 @@ class TestRunReplicate:
         c = config(max_iterations=25)
         r = run_replicate(c, 0, full=True)
         ft = r.full_trace
-        for key in ("fitness", "silo", "self_belief", "prestige_bias"):
+        assert ft.keys() == {"fitness", "silo", "coefficients", "inertia"}
+        for key in ("fitness", "silo"):
             assert ft[key].shape == (r.iterations_run + 1, c.agents)
+        assert ft["coefficients"].shape == (r.iterations_run + 1, 2, c.agents)
         assert ft["inertia"].shape == (c.agents,)
         # the hits are those read off the per-agent fitness trace
         assert ft["fitness"].dtype == np.int64

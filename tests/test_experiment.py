@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import orgswarm
-from orgswarm import (ConfigError, SimConfig, init_swarm,
-                      parse_config, parse_config_dict, run_experiment)
-from orgswarm.engine import replicate_rng, run_replicate
-from orgswarm.experiment import Arm, ExperimentSpec, _run_block, serialize_spec
+from orgswarm import ConfigError, SimConfig, parse_config_dict, run_experiment
+from orgswarm.engine import init_swarm, replicate_rng, run_replicate
+from orgswarm.experiment import Arm, ExperimentSpec, _run_block, parse_config, serialize_spec
 
 TINY = {
     "master_seed": 20260808,

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, SimConfig, clamp_velocity,
-                      init_swarm, parse_config_dict, sigmoid, step, update_velocity)
-from orgswarm.engine import replicate_rng
+from orgswarm import (ConfigError, SimConfig, clamp_velocity, parse_config_dict, sigmoid,
+                      update_velocity)
+from orgswarm.engine import init_swarm, replicate_rng, step
 
 
 class StubRng:

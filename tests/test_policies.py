@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, SimConfig, init_swarm,
-                      parse_config_dict, pressure, step)
-from orgswarm.engine import replicate_rng
-from orgswarm.policies import perceptive_shift, reactive_shift
+from orgswarm import ConfigError, SimConfig, parse_config_dict
+from orgswarm.engine import init_swarm, replicate_rng, step
+from orgswarm.policies import perceptive_shift, pressure, reactive_shift
 from scripted import scripted_state
 
 BOUNDS = (0.0, 2.0)

@@ -16,8 +16,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import SimConfig, init_swarm, run_replicate, step
-from orgswarm.engine import replicate_rng
+from orgswarm import SimConfig, run_replicate
+from orgswarm.engine import init_swarm, replicate_rng, step
 from reference_step import reference_hits, reference_step
 
 FIELDS = ("positions", "velocities", "bests", "pbest_fitness", "fitness",

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import aggregate_arm, engine, mann_whitney_u, run_replicate
+from orgswarm import engine, mann_whitney_u, run_replicate
 from orgswarm.errors import InvalidParameterError
 from orgswarm.experiment import _compare_pair
 from orgswarm.stats import (EXACT_MAX_N, _median, _padded_curves, _percentile, _u_tail_counts,
-                            median_ratio)
+                            aggregate_arm, median_ratio)
 from scripted import scripted, scripted_state
 
 

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from orgswarm import SimConfig, fitness_many, init_swarm, to_bitstring
-from orgswarm.engine import replicate_rng
+from orgswarm import SimConfig, to_bitstring
+from orgswarm.engine import init_swarm, replicate_rng
+from orgswarm.strategy import fitness_many
 
 
 def bits(s):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgswarm import ConfigError, SimConfig, build_assignment, reshuffle
-from orgswarm.topology import SiloAssignment, silo_leaders
+from orgswarm import ConfigError, SimConfig
+from orgswarm.topology import SiloAssignment, build_assignment, reshuffle, silo_leaders
 
 
 def rng(seed=0):
