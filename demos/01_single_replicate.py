@@ -7,8 +7,9 @@ convergence) or the iteration budget runs out.
 
 import numpy as np
 
-from orgswarm import SimConfig, run_replicate, to_bitstring
+from orgswarm import SimConfig, run_replicate
 from orgswarm.engine import derive_replicate_seed
+from orgswarm.strategy import to_bitstring
 
 config = SimConfig(
     master_seed=2026,

@@ -8,7 +8,7 @@ uniform draw u_d falls below sigmoid(v_d), as the engine's step does.
 
 import numpy as np
 
-from orgswarm import clamp_velocity, sigmoid, update_velocity
+from orgswarm.kinematics import clamp_velocity, sigmoid, update_velocity
 
 rng = np.random.default_rng(7)
 

@@ -2,14 +2,14 @@
 
 Small tie-free samples route to the exact tail enumeration; ties or samples
 beyond 20 per side use the tie-corrected normal approximation. Two arms are
-compared with ``mann_whitney_u`` and ``orgswarm.stats.median_ratio``, the two
+compared with ``orgswarm.stats.mann_whitney_u`` and ``median_ratio``, the two
 statistics a run's comparisons.csv reports for each arm pair.
 """
 
 import numpy as np
 
-from orgswarm import SimConfig, mann_whitney_u, run_replicate
-from orgswarm.stats import median_ratio
+from orgswarm import SimConfig, run_replicate
+from orgswarm.stats import mann_whitney_u, median_ratio
 
 # exact path on toy samples
 r = mann_whitney_u([1, 2, 3], [10, 11, 12])

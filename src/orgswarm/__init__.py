@@ -5,21 +5,16 @@ Agents search a binary strategy space under swarm-kinematic update rules
 communication design (fully networked, siloed, or dynamically reshuffled
 silos) and a behavioral feedback policy (reactive or perceptive). The
 package measures iterations-to-goal per agent and per group across seeded,
-reproducible replicates. The root exports what the demos use; every other
-name is imported from its own module (``orgswarm.engine``, ``.stats``, ...).
+reproducible replicates. The root exports the run API: a replicate's config
+and runner, and an experiment's parser and runner. Every other name is
+imported from its own module (``orgswarm.kinematics``, ``.stats``, ...).
 """
 
 from .engine import SimConfig, run_replicate
 from .errors import ConfigError
 from .experiment import parse_config_dict, run_experiment
-from .kinematics import clamp_velocity, sigmoid, update_velocity
-from .stats import mann_whitney_u
-from .strategy import to_bitstring
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError", "SimConfig", "clamp_velocity", "mann_whitney_u", "parse_config_dict",
-    "run_experiment", "run_replicate", "sigmoid", "to_bitstring", "update_velocity",
-    "__version__",
-]
+__all__ = ["ConfigError", "SimConfig", "parse_config_dict", "run_experiment", "run_replicate",
+           "__version__"]

@@ -4,8 +4,10 @@
                  [--workers N] [--trace none|group|full]
     orgswarm validate --config cfg.json
 
-Exit codes: 0 success, 2 config error, 3 a worker process died, 4 I/O error,
-5 out of memory (numpy could not allocate an arm's agents x dim arrays).
+Exit codes: 0 success, 2 config error (also a count field or agents x dim of 2**59
+or more, and an integer literal past Python's digit limit), 3 a worker process
+died, 4 I/O error, 5 out of memory (numpy could not allocate an arm's agents x dim
+arrays).
 """
 
 from __future__ import annotations

@@ -70,8 +70,14 @@ def invalid_fields(obj) -> dict[str, str]:
             if "ok" in f.metadata and not f.metadata["ok"](getattr(obj, f.name))}
 
 
+# numpy raises ValueError, not MemoryError, for an array of 2**63 bytes or more; the
+# largest, the (2, agents, dim) float work buffer, takes 16 bytes per agent and dimension
+_COUNT_LIMIT = 2 ** 59  # bounds each count and agents x dim
+
+
 def _count(default):
-    return _param("integer >= 1", lambda v: is_int(v) and v >= 1, default)
+    return _param("integer >= 1 and < 2**59", lambda v: is_int(v) and 1 <= v < _COUNT_LIMIT,
+                  default)
 
 
 def _positive(default):
@@ -140,6 +146,8 @@ class SimConfig:
                     if name not in bad and not (lo <= pair[0] and pair[1] <= hi):
                         bad[name] = (f"{name} (range within [{lo}, {hi}] required, "
                                      f"got [{pair[0]}, {pair[1]}])")
+        if not bad.keys() & {"agents", "dim"} and self.agents * self.dim >= _COUNT_LIMIT:
+            bad["dim"] = f"dim (agents x dim < 2**59 required, got {self.agents} x {self.dim})"
         if (self.design != "fully_networked"
                 and not bad.keys() & {"design", "agents", "silo_count"}
                 and self.silo_count > self.agents):
@@ -186,10 +194,6 @@ class ReplicateResult:
     # with full, at t = 0..iterations_run: "fitness" and "silo" (iterations_run + 1, N),
     # "coefficients" (iterations_run + 1, 2, N) as [C1; C2]; and "inertia" (N,)
     full_trace: dict | None = None
-
-    @property
-    def success(self) -> bool:
-        return self.group_convergence is not None
 
 
 def init_swarm(config: SimConfig, rng: np.random.Generator) -> SwarmState:

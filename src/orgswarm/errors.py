@@ -1,18 +1,10 @@
-"""Exception types and the value-type checks shared across the package."""
+"""The package's exception types, one per CLI exit code, and its value-type checks."""
 
 import sys
 
 
-class OrgswarmError(Exception):
-    """Base class for all orgswarm errors."""
-
-
-class InvalidParameterError(OrgswarmError, ValueError):
-    """A numeric parameter is outside its legal range."""
-
-
-class ConfigError(OrgswarmError, ValueError):
-    """An experiment configuration is invalid.
+class ConfigError(ValueError):
+    """An experiment configuration is invalid (CLI exit code 2).
 
     Carries the offending field names in ``fields`` so callers can report
     every problem at once.
@@ -23,7 +15,7 @@ class ConfigError(OrgswarmError, ValueError):
         self.fields = fields or []
 
 
-class InvariantViolation(OrgswarmError, RuntimeError):
+class InvariantViolation(RuntimeError):
     """A worker process died, so the run could not finish (CLI exit code 3)."""
 
 

@@ -171,7 +171,9 @@ def parse_config(path, **overrides) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh, object_pairs_hook=_unique_keys)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        except ConfigError:  # a duplicate key, with its fields
+            raise
+        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or a too-long int
             raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from None
     return parse_config_dict(data, **overrides)
 
@@ -315,7 +317,7 @@ def _write_tables(output: ExperimentOutput) -> None:
                _row_format((str, int, int, str, str, int, int)),
                ((label, r.replicate_index, derive_replicate_seed(master_seed, r.replicate_index),
                  _maybe(int, r.group_convergence), _maybe(int, r.first_any_hit),
-                 int(r.success), r.final_best_fitness)
+                 int(r.group_convergence is not None), r.final_best_fitness)
                 for label, r in replicates))
     _write_csv(out / "arms.csv",
                "arm,n,success_rate,median_group_convergence,mean_group_convergence,"

@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .engine import ReplicateResult
 
 EXACT_MAX_N = 20
@@ -92,7 +91,7 @@ def aggregate_arm(results: list[ReplicateResult], label: str, max_iterations: in
     linear interpolation.
     """
     if not results:
-        raise InvalidParameterError("aggregate_arm needs at least one result")
+        raise ValueError("aggregate_arm needs at least one result")
     conv = sorted(r.group_convergence for r in results if r.group_convergence is not None)
     hits = sorted(r.first_any_hit for r in results if r.first_any_hit is not None)
     curve_best, curve_mean = _padded_curves(results, max_iterations)
@@ -147,9 +146,9 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     """
     a, b = sorted(map(float, a)), sorted(map(float, b))
     if not a or not b:
-        raise InvalidParameterError("mann_whitney_u requires non-empty samples")
+        raise ValueError("mann_whitney_u requires non-empty samples")
     if any(math.isnan(x) for x in a + b):
-        raise InvalidParameterError("mann_whitney_u requires samples without NaN")
+        raise ValueError("mann_whitney_u requires samples without NaN")
     m, n = len(a), len(b)
     u_a = sum(bisect_left(b, x) + (bisect_right(b, x) - bisect_left(b, x)) / 2 for x in a)
 

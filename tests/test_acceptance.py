@@ -14,9 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from orgswarm import (SimConfig, clamp_velocity, mann_whitney_u, parse_config_dict,
-                      run_experiment, run_replicate)
+from orgswarm import SimConfig, parse_config_dict, run_experiment, run_replicate
 from orgswarm.engine import init_swarm, replicate_rng, step
+from orgswarm.kinematics import clamp_velocity
+from orgswarm.stats import mann_whitney_u
 from orgswarm.topology import build_assignment, reshuffle
 
 ACCEPTANCE_SEED = 20260808

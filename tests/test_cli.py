@@ -67,7 +67,8 @@ class TestValidate:
     @pytest.mark.parametrize("content", [
         b'{"master_seed": 1, "out_dir": "r\xff"}',  # not UTF-8
         b"[" * 100000,  # nested past the parser's recursion limit
-    ], ids=["not_utf8", "too_deep"])
+        b'{"master_seed": ' + b"1" * 5000 + b"}",  # past the int-string digit limit
+    ], ids=["not_utf8", "too_deep", "huge_int"])
     def test_unreadable_json_exit_2(self, tmp_path, monkeypatch, capsys, command, content):
         (tmp_path / "cfg.json").write_bytes(content)
         monkeypatch.chdir(tmp_path)
@@ -306,6 +307,24 @@ class TestRun:
                    "--out", str(tmp_path / "out"), "--workers", "2"])
         assert rc == 3
         assert "worker process died" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,field", [
+        ({"dim": 10 ** 30}, "dim"),  # past numpy's largest dimension
+        ({"agents": 10 ** 20}, "agents"),
+        # would run every replicate first, then fail sizing the curves
+        ({"max_iterations": 10 ** 22, "dim": 2, "agents": 1, "silo_count": 1},
+         "max_iterations"),
+        ({"agents": 2 ** 62, "dim": 4}, "agents"),  # past numpy's largest array
+        ({"agents": 2 ** 30, "dim": 2 ** 30}, "dim"),  # each count fits, their product not
+    ], ids=["dim", "agents", "max_iterations", "agents_x4", "agents_x_dim"])
+    def test_oversize_count_exit_2(self, tmp_path, capsys, override, field):
+        # refused before anything is allocated; unchecked, each reaches numpy as a ValueError
+        config = {"master_seed": 1, "replicates": 1, "workers": 1, "trace": "none", **override}
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", write_config(tmp_path, config), "--out", str(out_dir)])
+        assert rc == 2
+        assert f"invalid config: {field} (" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_out_of_memory_exit_5(self, tmp_path, capsys):
         # a valid config whose swarm numpy refuses to allocate (8.88 PiB of

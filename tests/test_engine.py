@@ -273,7 +273,6 @@ class TestRunReplicate:
         c = config(dim=20, agents=10, max_iterations=3)
         r = run_replicate(c, 0)
         assert r.group_convergence is None
-        assert not r.success
         assert r.iterations_run == 3
 
     def test_full_trace_row_per_iteration(self):
@@ -371,7 +370,7 @@ class TestSmallInstanceConvergence:
         c = config(dim=3, agents=4, max_iterations=500,
                    design="fully_networked",
                    tendency="reactive", master_seed=2026)
-        guided = sum(run_replicate(c, i).success for i in range(100))
+        guided = sum(run_replicate(c, i).group_convergence is not None for i in range(100))
 
         oracle_rng = np.random.default_rng(909)
         random_successes = 0

@@ -153,6 +153,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    def test_duplicate_key_keeps_its_fields(self, tmp_path):
+        # the decoder's ConfigError passes through parse_config's ValueError handler as is
+        path = tmp_path / "dup.json"
+        path.write_text('{"master_seed": 1, "arms": [{"design": "siloed", '
+                        '"tendency": "reactive", "design": "dynamic"}]}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="duplicate config keys: design") as err:
+            parse_config(path)
+        assert err.value.fields == ["design"]
+
     def test_with_overrides(self):
         data = dict(TINY)
         out = parse_config_dict(data, master_seed=99, replicates=2, workers=3,

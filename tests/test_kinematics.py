@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from orgswarm import (ConfigError, SimConfig, clamp_velocity, parse_config_dict, sigmoid,
-                      update_velocity)
+from orgswarm import ConfigError, SimConfig, parse_config_dict
+from orgswarm.kinematics import clamp_velocity, sigmoid, update_velocity
 from orgswarm.engine import init_swarm, replicate_rng, step
 
 

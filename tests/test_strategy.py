@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from orgswarm import SimConfig, to_bitstring
+from orgswarm import SimConfig
 from orgswarm.engine import init_swarm, replicate_rng
-from orgswarm.strategy import fitness_many
+from orgswarm.strategy import fitness_many, to_bitstring
 
 
 def bits(s):
