@@ -19,7 +19,7 @@ order and all row orders are fixed, so a spec gives byte-identical files at
 any worker count:
 
 * ``summary.csv``   one row per replicate
-* ``arms.csv``      one row per arm
+* ``arms.csv``      one row per arm, from summary.csv's columns and the arm's budget
 * ``comparisons.csv`` one row per unordered arm pair, all computed by ``_compare_pair``
 * ``goals.csv``     one row per replicate: its goal bitstring
 * ``curves/<arm>.csv`` per-iteration convergence curves (trace group|full)
@@ -34,6 +34,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .engine import (ReplicateResult, SimConfig, _param, derive_replicate_seed, 
 from .errors import ConfigError, InvariantViolation, is_int
 from .policies import TENDENCIES
 from . import stats  # the U test is looked up on the module, where a wrapper may replace it
-from .stats import ArmSummary, aggregate_arm
+from .stats import ArmSummary, aggregate_arm, padded_curve
 from .strategy import to_bitstring
 from .topology import DESIGNS
 
@@ -167,13 +168,20 @@ def _unique_keys(pairs: list) -> dict:
     return dict(pairs)
 
 
+def _int_literal(text: str):
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit: a stand-in that no field's check accepts
+        return SimpleNamespace(integer_literal_digits=len(text.lstrip("-")))
+
+
 def parse_config(path, **overrides) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
+            data = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_int_literal)
         except ConfigError:  # a duplicate key, with its fields
             raise
-        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or a too-long int
+        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8
             raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from None
     return parse_config_dict(data, **overrides)
 
@@ -267,8 +275,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
         for label, block in zip(labels, block_map(_run_block, *columns)):
             results[label] += block
 
-    summaries = [aggregate_arm(results[arm.label], arm.label, arm.config.max_iterations)
-                 for arm in arms]
+    summaries = [aggregate_arm(arm.label, [r.group_convergence for r in results[arm.label]],
+                               [r.first_any_hit for r in results[arm.label]],
+                               arm.config.max_iterations) for arm in arms]
     comparisons = [(a.label, b.label, *_compare_pair(a, b))
                    for a, b in itertools.combinations(summaries, 2)]
 
@@ -335,10 +344,12 @@ def _write_tables(output: ExperimentOutput) -> None:
                ((label, r.replicate_index, to_bitstring(r.goal)) for label, r in replicates))
     if output.spec.trace != "none":
         for s in output.summaries:
+            arm_results = output.results[s.label]
+            curves = (padded_curve(traces, s.max_iterations).tolist() for traces in
+                      ([r.trace_best for r in arm_results], [r.trace_mean for r in arm_results]))
             _write_csv(out / "curves" / f"{s.label}.csv",
                        "iteration,mean_best_fitness,mean_mean_fitness",
-                       _row_format((int, float, float)),
-                       zip(itertools.count(1), s.curve_best.tolist(), s.curve_mean.tolist()))
+                       _row_format((int, float, float)), zip(itertools.count(1), *curves))
 
 
 def _write_trace(path: Path, r: ReplicateResult) -> None:

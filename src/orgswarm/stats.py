@@ -1,14 +1,15 @@
-"""Aggregation of replicate results, and the statistics that compare two samples.
+"""An arm's sample statistics and curves, and the statistics that compare two samples.
 
+:func:`aggregate_arm` reads an arm's two ``summary.csv`` columns and its budget,
+:func:`padded_curve` one fitness trace per replicate (numpy serves only it).
 :func:`mann_whitney_u` and :func:`median_ratio` compare any two samples; the
-experiment writer's ``_compare_pair`` applies them to a pair of arms. The
-Mann-Whitney U here is self-contained: an exact tail probability from
-the classical no-ties count recurrence when both sides have at most 20
-observations and the pooled sample is tie-free, otherwise a tie-corrected
-normal approximation (no continuity correction, so identical samples give
-p = 1 exactly). U is reported for the first sample: the pairs where it
-exceeds the second (ties count 1/2), counted by bisecting the sorted
-samples. A NaN in either sample is rejected. numpy serves only the curves.
+experiment writer's ``_compare_pair`` applies them to a pair of arms. The Mann-Whitney
+U here is self-contained: an exact tail probability from the classical no-ties count
+recurrence when both sides have at most 20 observations and the pooled sample is
+tie-free, otherwise a tie-corrected normal approximation (no continuity correction,
+so identical samples give p = 1 exactly). U is reported for the first sample: the
+pairs where it exceeds the second (ties count 1/2), counted by bisecting the sorted
+samples. A NaN in either sample is rejected.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import ReplicateResult
-
 EXACT_MAX_N = 20
 
 
 @dataclass
 class ArmSummary:
-    """Replicate-level statistics for one (design x tendency) arm."""
+    """Sample statistics of one (design x tendency) arm: what ``arms.csv`` and
+    ``comparisons.csv`` read, from its ``summary.csv`` columns and its budget."""
 
     label: str
     n: int
@@ -39,23 +39,19 @@ class ArmSummary:
     iqr_low: float
     iqr_high: float
     median_first_any_hit: float
-    curve_best: np.ndarray                   # (T,), iterations 1..T
-    curve_mean: np.ndarray
     converged: list[int]                     # sorted, converged replicates only
     max_iterations: int                      # the budget the replicates ran on
 
 
-def _padded_curves(results: list[ReplicateResult], horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over replicates at t = 1..horizon; a replicate that stopped early
-    (at t = 0 too) carries its last value on. The rows are summed in result order, then
-    divided by the count, as ``mean(axis=0)`` reduces their C-ordered stack: same bits."""
-    best, mean = np.zeros(horizon), np.zeros(horizon)
+def padded_curve(traces: list[np.ndarray], horizon: int) -> np.ndarray:
+    """Mean of the traces (each from t = 0) at t = 1..horizon, one that ends early carrying
+    its last value on. They are summed in place in list order, then divided by the count,
+    as ``mean(axis=0)`` reduces their C-ordered stack: same bits."""
+    curve = np.zeros(horizon)
     steps = np.arange(1, horizon + 1)
-    for r in results:
-        t = np.minimum(steps, r.trace_best.size - 1)
-        best += r.trace_best[t]
-        mean += r.trace_mean[t]
-    return best / len(results), mean / len(results)
+    for trace in traces:
+        curve += trace[np.minimum(steps, trace.size - 1)]
+    return curve / len(traces)
 
 
 def _median(ordered: list) -> float:
@@ -83,31 +79,30 @@ def _percentile(ordered: list, q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def aggregate_arm(results: list[ReplicateResult], label: str, max_iterations: int) -> ArmSummary:
-    """Summarize an arm's replicates, run on a budget of ``max_iterations``.
+def aggregate_arm(label: str, group_convergence: list, first_any_hit: list,
+                  max_iterations: int) -> ArmSummary:
+    """Summarize an arm from its replicates' ``group_convergence`` and ``first_any_hit``
+    (an int each, or None for never), run on a budget of ``max_iterations``.
 
     Never-converged replicates are excluded from the central-tendency
     statistics. Medians use the midpoint rule for even counts; the IQR uses
     linear interpolation.
     """
-    if not results:
-        raise ValueError("aggregate_arm needs at least one result")
-    conv = sorted(r.group_convergence for r in results if r.group_convergence is not None)
-    hits = sorted(r.first_any_hit for r in results if r.first_any_hit is not None)
-    curve_best, curve_mean = _padded_curves(results, max_iterations)
+    if not group_convergence:
+        raise ValueError("aggregate_arm needs at least one replicate")
+    conv = sorted(v for v in group_convergence if v is not None)
+    hits = sorted(v for v in first_any_hit if v is not None)
     nan = float("nan")
     return ArmSummary(
         label=label,
-        n=len(results),
+        n=len(group_convergence),
         successes=len(conv),
-        success_rate=len(conv) / len(results),
+        success_rate=len(conv) / len(group_convergence),
         median_group_convergence=_median(conv) if conv else nan,
         mean_group_convergence=sum(conv) / len(conv) if conv else nan,
         iqr_low=_percentile(conv, 25) if conv else nan,
         iqr_high=_percentile(conv, 75) if conv else nan,
         median_first_any_hit=_median(hits) if hits else nan,
-        curve_best=curve_best,
-        curve_mean=curve_mean,
         converged=conv,
         max_iterations=max_iterations,
     )

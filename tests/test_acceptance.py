@@ -277,12 +277,9 @@ def test_criterion_4_statistics_oracle():
                 checked += 1
 
     from orgswarm.stats import aggregate_arm, median_ratio
-    from test_stats import FakeResult
-    assert aggregate_arm([FakeResult(v) for v in (10, 20, 30)],
-                         "x", 100).median_group_convergence == 20
-    assert aggregate_arm([FakeResult(v) for v in (10, 20, 30, 40)],
-                         "x", 100).median_group_convergence == 25
-    never = aggregate_arm([FakeResult(10), FakeResult(None), FakeResult(30)], "x", 100)
+    assert aggregate_arm("x", [10, 20, 30], [1] * 3, 100).median_group_convergence == 20
+    assert aggregate_arm("x", [10, 20, 30, 40], [1] * 4, 100).median_group_convergence == 25
+    never = aggregate_arm("x", [10, None, 30], [1] * 3, 100)
     assert never.success_rate == pytest.approx(2 / 3)
     assert never.median_group_convergence == 20
     assert mann_whitney_u([1, 2, 3], [10, 11, 12]).u_statistic == 0

@@ -64,17 +64,34 @@ class TestValidate:
         assert rc == 4
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("content", [
-        b'{"master_seed": 1, "out_dir": "r\xff"}',  # not UTF-8
-        b"[" * 100000,  # nested past the parser's recursion limit
-        b'{"master_seed": ' + b"1" * 5000 + b"}",  # past the int-string digit limit
+    @pytest.mark.parametrize("content,message", [
+        (b'{"master_seed": 1, "out_dir": "r\xff"}', "config is not valid UTF-8 JSON"),
+        (b"[" * 100000, "config is not valid UTF-8 JSON"),  # past the recursion limit
+        # valid JSON past the int-string digit limit: its field's check rejects it
+        (b'{"master_seed": ' + b"1" * 5000 + b"}",
+         "master_seed (u64 required, got namespace(integer_literal_digits=5000))"),
     ], ids=["not_utf8", "too_deep", "huge_int"])
-    def test_unreadable_json_exit_2(self, tmp_path, monkeypatch, capsys, command, content):
+    def test_unreadable_json_exit_2(self, tmp_path, monkeypatch, capsys, command, content,
+                                    message):
         (tmp_path / "cfg.json").write_bytes(content)
         monkeypatch.chdir(tmp_path)
         assert main([command, "--config", "cfg.json"]) == 2
-        assert "config is not valid UTF-8 JSON" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("config,field", [
+        ('{"master_seed": -%s}', "master_seed"),
+        ('{"master_seed": 1, "inertia_init": [0.5, %s]}', "inertia_init"),
+        ('{"master_seed": 1, "arms": [{"design": "siloed", "tendency": "reactive", '
+         '"label": %s}]}', "label"),
+    ], ids=["master_seed", "inertia_init", "label"])
+    def test_too_long_integer_literal_names_its_field(self, tmp_path, capsys, config, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(config % ("9" * 5000), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} (" in err and "integer_literal_digits=5000" in err
+        assert len(err) < 400
 
     @pytest.mark.parametrize("text,key", [
         ('{"master_seed": 1, "master_seed": 2}', "master_seed"),

@@ -440,14 +440,19 @@ class TestTraceLevels:
         assert not (tmp_path / "out" / "traces").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
 
-    def test_trace_none_summaries_carry_the_unwritten_curves(self, tmp_path, tiny_output):
-        # the trace level chooses the files written, not what is recorded
-        spec = parse_config_dict({**TINY, "trace": "none"})
-        output = run_experiment(spec, out_dir=tmp_path / "out")
-        for summary, traced in zip(output.summaries, tiny_output[0].summaries):
-            assert summary.curve_best.size == TINY["max_iterations"]
-            assert np.array_equal(summary.curve_best, traced.curve_best)
-            assert np.array_equal(summary.curve_mean, traced.curve_mean)
+    def test_trace_level_chooses_files_not_their_bytes(self, tmp_path):
+        def read(out, pattern):
+            return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.glob(pattern)}
+
+        outs = {}
+        for level in ("none", "group", "full"):
+            outs[level] = tmp_path / level
+            run_experiment(parse_config_dict({**TINY, "trace": level}), out_dir=outs[level])
+        tables = [read(out, "*.csv") for out in outs.values()]
+        assert sorted(tables[0]) == ["arms.csv", "comparisons.csv", "goals.csv", "summary.csv"]
+        assert tables[0] == tables[1] == tables[2]
+        curves = read(outs["group"], "curves/*.csv")
+        assert len(curves) == 6 and curves == read(outs["full"], "curves/*.csv")
 
     def test_trace_full_emits_per_replicate_files(self, tmp_path):
         spec = parse_config_dict({**TINY, "replicates": 2, "trace": "full"})

@@ -12,9 +12,13 @@ every trace level; ``default_shape_full`` runs the paper's 20 x 25 swarm with
 unequal silos (7/7/6). The cases are also run in a subprocess with every
 SIMD target above numpy's baseline switched off, since ``sigmoid``'s
 ``np.exp`` is the one operation whose bits follow the dispatch level.
+Each case's ``arms.csv`` and ``comparisons.csv`` are also rebuilt from its
+``summary.csv`` and its arms' budgets alone.
 """
 
+import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -25,7 +29,8 @@ import numpy as np
 import pytest
 
 import orgswarm
-from orgswarm import parse_config_dict, run_experiment
+from orgswarm import experiment, parse_config_dict, run_experiment
+from orgswarm.stats import aggregate_arm
 
 TINY = {"master_seed": 20260808, "dim": 6, "agents": 4, "max_iterations": 40,
         "replicates": 3, "silo_count": 2, "reshuffle_interval": 3,
@@ -196,3 +201,30 @@ def test_golden_digests_at_baseline_simd(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [], "NPY_DISABLE_CPU_FEATURES had no effect"
     assert {name: digests(tmp_path / name) for name in CASES} == GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tables_rebuilt_from_summary_csv(name, tmp_path):
+    spec = parse_config_dict(CASES[name])
+    run_experiment(spec, out_dir=tmp_path)
+    columns = {}  # arm -> (group_convergence, first_any_hit), None for an empty cell
+    with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            for column, key in zip(columns.setdefault(row["arm"], ([], [])),
+                                   ("group_convergence", "first_any_hit")):
+                column.append(int(row[key]) if row[key] else None)
+    budget = {arm.label: arm.config.max_iterations for arm in spec.arms}
+    summaries = [aggregate_arm(label, *columns[label], budget[label]) for label in sorted(columns)]
+
+    arms = [experiment._row_format((str, int, *[float] * 6)) % (
+        s.label, s.n, s.success_rate, s.median_group_convergence, s.mean_group_convergence,
+        s.iqr_low, s.iqr_high, s.median_first_any_hit) for s in summaries]
+    comparisons = [",".join([a.label, b.label,
+                             *[experiment._maybe(float, cell) for cell in experiment._compare_pair(a, b)]])
+                   for a, b in itertools.combinations(summaries, 2)]
+    for file, rows in (("arms.csv", arms), ("comparisons.csv", comparisons)):
+        text = (tmp_path / file).read_text(encoding="utf-8")
+        assert text == "\n".join([text.split("\n")[0], *rows]) + "\n"
+    if name == "grid_none_censored":  # never-converged replicates: empty and censored cells
+        assert any(None in column for column, _ in columns.values())
+        assert any(",,," in row for row in comparisons)

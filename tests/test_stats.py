@@ -1,7 +1,6 @@
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 
 from orgswarm import engine, run_replicate
 from orgswarm.experiment import _compare_pair
-from orgswarm.stats import (EXACT_MAX_N, _median, _padded_curves, _percentile, _u_tail_counts,
-                            aggregate_arm, mann_whitney_u, median_ratio)
+from orgswarm.stats import (EXACT_MAX_N, _median, _percentile, _u_tail_counts, aggregate_arm,
+                            mann_whitney_u, median_ratio, padded_curve)
 from scripted import scripted, scripted_state
 
 
@@ -94,56 +93,45 @@ class TestFirstHitIteration:
             scripted_state([trace], dim=8)
 
 
-@dataclass
-class FakeResult:
-    group_convergence: int | None
-    first_any_hit: int | None = 1
-    # t = 0..iterations_run
-    trace_best: np.ndarray = field(default_factory=lambda: np.array([5, 3, 1, 0]))
-    trace_mean: np.ndarray = field(default_factory=lambda: np.array([8.0, 6.0, 4.0, 2.0]))
+def arm(group_convergence, budget=100):
+    """An arm's summary from its replicates' group convergences (None: never);
+    every replicate's first hit is at t = 1."""
+    return aggregate_arm("arm", group_convergence, [1] * len(group_convergence), budget)
 
 
 class TestAggregateArm:
     def test_odd_count_median(self):
-        s = aggregate_arm([FakeResult(v) for v in (10, 20, 30)], "arm", 100)
-        assert s.median_group_convergence == 20
+        assert arm([10, 20, 30]).median_group_convergence == 20
 
     def test_even_count_midpoint(self):
-        s = aggregate_arm([FakeResult(v) for v in (10, 20, 30, 40)], "arm", 100)
-        assert s.median_group_convergence == 25
+        assert arm([10, 20, 30, 40]).median_group_convergence == 25
 
     def test_never_excluded_from_median_but_in_rate(self):
-        s = aggregate_arm([FakeResult(10), FakeResult(None), FakeResult(30)], "arm", 100)
+        s = arm([10, None, 30])
         assert s.successes == 2 and s.success_rate == pytest.approx(2 / 3)
         assert s.median_group_convergence == 20
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_arm([], "arm", 100)
+            aggregate_arm("arm", [], [], 100)
 
     def test_central_tendency_within_range(self):
         rng = np.random.default_rng(1)
         values = rng.integers(5, 500, 31).tolist()
-        s = aggregate_arm([FakeResult(v) for v in values], "arm", 500)
+        s = arm(values, 500)
         assert min(values) <= s.median_group_convergence <= max(values)
         assert min(values) <= s.mean_group_convergence <= max(values)
         assert s.iqr_low <= s.median_group_convergence <= s.iqr_high
 
-    def test_curve_padding_carries_last_value(self):
-        r = FakeResult(3)
-        s = aggregate_arm([r], "arm", 6)
-        assert s.curve_best.size == 6
-        assert s.curve_best[-1] == r.trace_best[-1]
-        assert s.curve_best.tolist() == [3, 1, 0, 0, 0, 0]  # t = 1..6
-        # converged at t = 0: its t = 0 values fill the whole curve
-        at_start = FakeResult(0, trace_best=np.array([0]), trace_mean=np.array([3.0]))
-        s = aggregate_arm([at_start], "arm", 6)
-        assert s.curve_best.tolist() == [0] * 6 and s.curve_mean.tolist() == [3.0] * 6
+    def test_first_hits_have_their_own_never(self):
+        # a replicate may hit without its group converging, never the reverse
+        s = aggregate_arm("arm", [None, 8, None, 12], [None, 2, 5, 3], 100)
+        assert s.median_first_any_hit == 3 and s.median_group_convergence == 10
+        assert math.isnan(aggregate_arm("arm", [None], [None], 100).median_first_any_hit)
 
     def test_censored_values(self):
         # the converged replicates, sorted, and the budget the rest count at
-        s = aggregate_arm([FakeResult(None), FakeResult(40), FakeResult(100),
-                           FakeResult(10)], "arm", 100)
+        s = arm([None, 40, 100, 10])
         assert s.converged == [10, 40, 100]
         assert s.max_iterations == 100
 
@@ -153,59 +141,60 @@ class TestComparePair:
 
     B = [20, 30, 40]  # every replicate converged; median 30
 
-    def arm(self, values, budget=100):
-        return aggregate_arm([FakeResult(v) for v in values], "arm", budget)
-
     def test_never_converged_counts_at_the_budget(self):
         # censored sample [10, 40, 100, 100]: the never-converged replicate
         # sorts last at the budget, level with the one that converged there
-        a, b = self.arm([None, 40, 100, 10]), self.arm(self.B)
+        a, b = arm([None, 40, 100, 10]), arm(self.B)
         ratio, u, p, censored_ratio = _compare_pair(a, b)
         test = mann_whitney_u([10, 40, 100], self.B)
         assert (ratio, u, p) == (40 / 30, test.u_statistic, test.p_value)
         assert censored_ratio == 70 / 30
-        assert _compare_pair(self.arm([100, 40, 100, 10]), b)[3] == censored_ratio
+        assert _compare_pair(arm([100, 40, 100, 10]), b)[3] == censored_ratio
         # the budget, not the largest converged value: [10, 40, 1000, 1000]
-        assert _compare_pair(self.arm([None, None, 40, 10], 1000), b)[3] == 520 / 30
+        assert _compare_pair(arm([None, None, 40, 10], 1000), b)[3] == 520 / 30
 
     def test_no_converged_replicate_leaves_the_test_empty(self):
-        assert _compare_pair(self.arm([None, None], 50), self.arm(self.B)) == (
+        assert _compare_pair(arm([None, None], 50), arm(self.B)) == (
             None, None, None, 50 / 30)
 
 
-def stacked_curves(results, horizon):
-    """Reference arm curves: every replicate's padded row stacked into one
-    float (R, horizon) matrix, then ``mean(axis=0)``."""
+def stacked_curve(traces, horizon):
+    """Reference arm curve: every trace's padded row stacked into one float
+    (R, horizon) matrix, then ``mean(axis=0)``."""
     steps = np.arange(1, horizon + 1)
-    rows = [np.minimum(steps, r.trace_best.size - 1) for r in results]
-    return (np.array([r.trace_best[t] for r, t in zip(results, rows)], dtype=float).mean(axis=0),
-            np.array([r.trace_mean[t] for r, t in zip(results, rows)], dtype=float).mean(axis=0))
+    return np.array([t[np.minimum(steps, t.size - 1)] for t in traces],
+                    dtype=float).mean(axis=0)
 
 
 @st.composite
 def arm_traces(draw):
     """1-200 replicates on one budget, some stopped at t = 0 and some run to
-    the budget; fitness means are k/N for N in 1..40 agents."""
+    the budget: their best-fitness traces, and their mean-fitness traces of
+    k/N for N in 1..40 agents."""
     horizon = draw(st.integers(1, 60))
     agents = draw(st.integers(1, 40))
     dim = draw(st.integers(1, 200))
     stops = draw(st.lists(st.one_of(st.just(0), st.just(horizon), st.integers(0, horizon)),
                           min_size=1, max_size=200))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return horizon, [FakeResult(None, trace_best=rng.integers(0, dim + 1, stop + 1),
-                                trace_mean=rng.integers(0, dim * agents + 1, stop + 1) / agents)
-                     for stop in stops]
+    return horizon, ([rng.integers(0, dim + 1, stop + 1) for stop in stops],
+                     [rng.integers(0, dim * agents + 1, stop + 1) / agents for stop in stops])
 
 
 class TestPaddedCurves:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(arm_traces())
-    def test_equal_to_the_stacked_mean(self, arm):
-        horizon, results = arm
-        got, expected = _padded_curves(results, horizon), stacked_curves(results, horizon)
-        for curve, reference in zip(got, expected):
+    def test_equal_to_the_stacked_mean(self, drawn):
+        horizon, traces = drawn
+        for kind in traces:
+            curve, reference = padded_curve(kind, horizon), stacked_curve(kind, horizon)
             assert curve.dtype == reference.dtype == np.float64
             assert curve.tobytes() == reference.tobytes()  # IEEE bits
+
+    def test_padding_carries_last_value(self):
+        assert padded_curve([np.array([5, 3, 1, 0])], 6).tolist() == [3, 1, 0, 0, 0, 0]  # t = 1..6
+        # stopped at t = 0: its t = 0 value fills the whole curve
+        assert padded_curve([np.array([3.0])], 6).tolist() == [3.0] * 6
 
 
 def numpy_mann_whitney(a, b):
