@@ -10,9 +10,8 @@ and runner, and an experiment's parser and runner. Every other name is
 imported from its own module (``orgswarm.kinematics``, ``.stats``, ...).
 """
 
-from .engine import SimConfig, run_replicate
-from .errors import ConfigError
-from .experiment import parse_config_dict, run_experiment
+from .engine import run_replicate
+from .experiment import ConfigError, SimConfig, parse_config_dict, run_experiment
 
 __version__ = "0.1.0"
 

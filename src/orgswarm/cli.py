@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, InvariantViolation
-from .experiment import TRACE_LEVELS, parse_config, run_experiment
+from .experiment import (TRACE_LEVELS, ConfigError, InvariantViolation, parse_config,
+                         run_experiment)
 
 
 def _build_parser() -> argparse.ArgumentParser:

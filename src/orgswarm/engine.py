@@ -20,20 +20,21 @@ Iteration ``t=0`` is the evaluation of the initial positions; each
 every personal best is 0, at group convergence; the first hit is the first
 ``t`` of its best-fitness trace at 0. :func:`step` owns the state, keeps no hit
 record and keeps the neighbourhood bests until a reshuffle or an improving step.
+A config is an :class:`orgswarm.experiment.SimConfig` that passed its ``validate``;
+this module names that type only in annotations and re-checks nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_int, is_real
 from .kinematics import clamp_velocity, sigmoid, update_velocity
 # reactive_shift stays bound here: perfbench's tracing.TRACED wraps it by this name
-from .policies import TENDENCIES, perceptive_shift, reactive_shift
+from .policies import perceptive_shift, reactive_shift
 from .strategy import BIT_DTYPE, fitness_many
-from .topology import DESIGNS, SiloAssignment, build_assignment, reshuffle, silo_leaders
+from .topology import SiloAssignment, build_assignment, reshuffle, silo_leaders
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -55,107 +56,6 @@ def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=derive_replicate_seed(master_seed, replicate_index)))
-
-
-def _param(need: str, ok, default=MISSING):
-    """A config field (of :class:`SimConfig`, ``ExperimentSpec`` or ``Arm``)
-    whose valid values satisfy ``ok``; ``need`` describes them in messages."""
-    return field(default=default, metadata={"need": need, "ok": ok})
-
-
-def invalid_fields(obj) -> dict[str, str]:
-    """``{field: message}`` for each :func:`_param` field of ``obj`` that fails."""
-    return {f.name: f"{f.name} ({f.metadata['need']} required, got {getattr(obj, f.name)!r})"
-            for f in fields(obj)
-            if "ok" in f.metadata and not f.metadata["ok"](getattr(obj, f.name))}
-
-
-# numpy raises ValueError, not MemoryError, for an array of 2**63 bytes or more; the
-# largest, the (2, agents, dim) float work buffer, takes 16 bytes per agent and dimension
-_COUNT_LIMIT = 2 ** 59  # bounds each count and agents x dim
-
-
-def _count(default):
-    return _param("integer >= 1 and < 2**59", lambda v: is_int(v) and 1 <= v < _COUNT_LIMIT,
-                  default)
-
-
-def _positive(default):
-    return _param("positive real", lambda v: is_real(v) and v > 0, default)
-
-
-def _pair(default):
-    return _param("[low, high] pair of reals with low <= high and a finite high - low",
-                  lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
-                             and all(map(is_real, v)) and v[0] <= v[1]
-                             and is_real(float(v[1]) - float(v[0]))), default)
-
-
-def _flag(default):
-    return _param("true or false", lambda v: isinstance(v, bool), default)
-
-
-@dataclass
-class SimConfig:
-    """Full parameterization of one experimental arm.
-
-    Each field states its default and its valid values once; :meth:`validate`
-    and the JSON config parser (:mod:`orgswarm.experiment`, CLI overrides
-    included) derive theirs from :func:`dataclasses.fields`.
-    """
-
-    master_seed: int = _param("u64", lambda v: is_int(v) and 0 <= v < 2 ** 64)
-    design: str = _param(f"one of {DESIGNS}", lambda v: v in DESIGNS)
-    tendency: str = _param(f"one of {TENDENCIES}", lambda v: v in TENDENCIES)
-    silo_count: int = _count(5)          # siloed and dynamic only
-    reshuffle_interval: int = _count(10)  # dynamic only
-    dim: int = _count(25)
-    agents: int = _count(20)
-    max_iterations: int = _count(1000)
-    replicates: int = _count(200)
-    v_max: float = _positive(4.0)
-    delta: float = _positive(0.1)
-    alpha: float = _param("real in (0, 1]", lambda v: is_real(v) and 0 < v <= 1, 0.1)
-    # None means max(1, max_iterations // 4); it stays None only beside a bad max_iterations
-    pressure_horizon: int | None = _param("integer >= 1 or null",
-                                          lambda v: v is None or (is_int(v) and v >= 1), None)
-    coeff_min: float = _param("real", is_real, 0.0)
-    coeff_max: float = _param("real", is_real, 2.0)
-    inertia_init: tuple[float, float] = _pair((0.9, 0.95))
-    self_belief_init: tuple[float, float] = _pair((0.5, 1.5))
-    prestige_bias_init: tuple[float, float] = _pair((1.5, 2.0))
-    gbest_mode: str = _param(f"one of {GBEST_MODES}", lambda v: v in GBEST_MODES,
-                             "historical")
-    stochastic_acceleration: bool = _flag(False)
-    freeze_on_goal: bool = _flag(False)
-
-    def __post_init__(self):
-        if self.pressure_horizon is None and is_int(self.max_iterations):
-            self.pressure_horizon = max(1, self.max_iterations // 4)
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` naming every offending field."""
-        bad = invalid_fields(self)
-        lo, hi = self.coeff_min, self.coeff_max
-        if not bad.keys() & {"coeff_min", "coeff_max"}:
-            if lo > hi:
-                bad["coeff_max"] = f"coeff_max (real >= coeff_min {lo!r} required, got {hi!r})"
-            else:
-                for name in ("inertia_init", "self_belief_init", "prestige_bias_init"):
-                    pair = getattr(self, name)
-                    if name not in bad and not (lo <= pair[0] and pair[1] <= hi):
-                        bad[name] = (f"{name} (range within [{lo}, {hi}] required, "
-                                     f"got [{pair[0]}, {pair[1]}])")
-        if not bad.keys() & {"agents", "dim"} and self.agents * self.dim >= _COUNT_LIMIT:
-            bad["dim"] = f"dim (agents x dim < 2**59 required, got {self.agents} x {self.dim})"
-        if (self.design != "fully_networked"
-                and not bad.keys() & {"design", "agents", "silo_count"}
-                and self.silo_count > self.agents):
-            bad["silo_count"] = (f"silo_count (integer in [1, {self.agents}] required, "
-                                 f"got {self.silo_count!r})")
-        if bad:
-            raise ConfigError("invalid config: " + "; ".join(bad.values()),
-                              fields=list(bad))
 
 
 @dataclass

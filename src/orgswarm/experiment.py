@@ -1,9 +1,12 @@
-"""Experiment grid: JSON config parsing, replication in blocks, CSV outputs.
+"""Experiment grid: the config boundary, replication in blocks, CSV outputs.
 
+This module owns the config schema (``SimConfig``, ``Arm`` and ``ExperimentSpec``,
+each field's check declared once by ``_param``) and both exception types.
 A config is one strict UTF-8 JSON document (unknown or repeated keys are
-rejected). Only ``master_seed`` is required; everything else defaults. With
-no ``arms`` list the standard 3 designs x 2 tendencies grid is expanded. One
-check, :meth:`ExperimentSpec.validate`, serves the parser and ``run_experiment``.
+rejected). Only ``master_seed`` is required, and a missing required key fails
+its field's check as ``null`` does; everything else defaults. With no ``arms``
+list the standard 3 designs x 2 tendencies grid is expanded. One check,
+:meth:`ExperimentSpec.validate`, serves the parser and ``run_experiment``.
 
 Each arm runs as the same blocks of 25 replicates at every worker count,
 through ``map`` at one worker and a process pool's ``map`` otherwise. A block
@@ -31,16 +34,15 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .engine import (ReplicateResult, SimConfig, _param, derive_replicate_seed, invalid_fields,
-                     run_replicate)
-from .errors import ConfigError, InvariantViolation, is_int
+from .engine import GBEST_MODES, ReplicateResult, derive_replicate_seed, run_replicate
 from .policies import TENDENCIES
 from . import stats  # the U test is looked up on the module, where a wrapper may replace it
 from .stats import ArmSummary, aggregate_arm, padded_curve
@@ -50,6 +52,134 @@ from .topology import DESIGNS
 _BLOCK = 25  # replicates per block
 TRACE_LEVELS = ("none", "group", "full")  # "group" writes curves/, "full" also traces/
 _LABEL_BYTES = 251  # NAME_MAX (255) less ".csv": a label names curves/<label>.csv
+
+
+class ConfigError(ValueError):
+    """An experiment configuration is invalid (CLI exit code 2).
+
+    Carries the offending field names in ``fields`` so callers can report
+    every problem at once.
+    """
+
+    def __init__(self, message: str, fields: list[str] | None = None):
+        super().__init__(message)
+        self.fields = fields or []
+
+
+class InvariantViolation(RuntimeError):
+    """A worker process died, so the run could not finish (CLI exit code 3)."""
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite int or float that is not a bool (nan and huge ints fail too)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _param(need: str, ok, default=MISSING):
+    """A config field (of :class:`SimConfig`, ``ExperimentSpec`` or ``Arm``)
+    whose valid values satisfy ``ok``; ``need`` describes them in messages."""
+    return field(default=default, metadata={"need": need, "ok": ok})
+
+
+def invalid_fields(obj) -> dict[str, str]:
+    """``{field: message}`` for each :func:`_param` field of ``obj`` that fails."""
+    return {f.name: f"{f.name} ({f.metadata['need']} required, got {getattr(obj, f.name)!r})"
+            for f in fields(obj)
+            if "ok" in f.metadata and not f.metadata["ok"](getattr(obj, f.name))}
+
+
+# numpy raises ValueError, not MemoryError, for an array of 2**63 bytes or more; the
+# largest, the (2, agents, dim) float work buffer, takes 16 bytes per agent and dimension
+_COUNT_LIMIT = 2 ** 59  # bounds each count and agents x dim
+
+
+def _count(default):
+    return _param("integer >= 1 and < 2**59", lambda v: is_int(v) and 1 <= v < _COUNT_LIMIT,
+                  default)
+
+
+def _positive(default):
+    return _param("positive real", lambda v: is_real(v) and v > 0, default)
+
+
+def _pair(default):
+    return _param("[low, high] pair of reals with low <= high and a finite high - low",
+                  lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
+                             and all(map(is_real, v)) and v[0] <= v[1]
+                             and is_real(float(v[1]) - float(v[0]))), default)
+
+
+def _flag(default):
+    return _param("true or false", lambda v: isinstance(v, bool), default)
+
+
+@dataclass
+class SimConfig:
+    """Full parameterization of one experimental arm.
+
+    Each field states its default and its valid values once; :meth:`validate`
+    and the JSON config parser (CLI overrides included) derive theirs from
+    :func:`dataclasses.fields`. The engine takes a validated config as given.
+    """
+
+    master_seed: int = _param("u64", lambda v: is_int(v) and 0 <= v < 2 ** 64)
+    design: str = _param(f"one of {DESIGNS}", lambda v: v in DESIGNS)
+    tendency: str = _param(f"one of {TENDENCIES}", lambda v: v in TENDENCIES)
+    silo_count: int = _count(5)          # siloed and dynamic only
+    reshuffle_interval: int = _count(10)  # dynamic only
+    dim: int = _count(25)
+    agents: int = _count(20)
+    max_iterations: int = _count(1000)
+    replicates: int = _count(200)
+    v_max: float = _positive(4.0)
+    delta: float = _positive(0.1)
+    alpha: float = _param("real in (0, 1]", lambda v: is_real(v) and 0 < v <= 1, 0.1)
+    # None means max(1, max_iterations // 4); it stays None only beside a bad max_iterations
+    pressure_horizon: int | None = _param("integer >= 1 or null",
+                                          lambda v: v is None or (is_int(v) and v >= 1), None)
+    coeff_min: float = _param("real", is_real, 0.0)
+    coeff_max: float = _param("real", is_real, 2.0)
+    inertia_init: tuple[float, float] = _pair((0.9, 0.95))
+    self_belief_init: tuple[float, float] = _pair((0.5, 1.5))
+    prestige_bias_init: tuple[float, float] = _pair((1.5, 2.0))
+    gbest_mode: str = _param(f"one of {GBEST_MODES}", lambda v: v in GBEST_MODES,
+                             "historical")
+    stochastic_acceleration: bool = _flag(False)
+    freeze_on_goal: bool = _flag(False)
+
+    def __post_init__(self):
+        if self.pressure_horizon is None and is_int(self.max_iterations):
+            self.pressure_horizon = max(1, self.max_iterations // 4)
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` naming every offending field."""
+        bad = invalid_fields(self)
+        lo, hi = self.coeff_min, self.coeff_max
+        if not bad.keys() & {"coeff_min", "coeff_max"}:
+            if lo > hi:
+                bad["coeff_max"] = f"coeff_max (real >= coeff_min {lo!r} required, got {hi!r})"
+            else:
+                for name in ("inertia_init", "self_belief_init", "prestige_bias_init"):
+                    pair = getattr(self, name)
+                    if name not in bad and not (lo <= pair[0] and pair[1] <= hi):
+                        bad[name] = (f"{name} (range within [{lo}, {hi}] required, "
+                                     f"got [{pair[0]}, {pair[1]}])")
+        if not bad.keys() & {"agents", "dim"} and self.agents * self.dim >= _COUNT_LIMIT:
+            bad["dim"] = f"dim (agents x dim < 2**59 required, got {self.agents} x {self.dim})"
+        if (self.design != "fully_networked"
+                and not bad.keys() & {"design", "agents", "silo_count"}
+                and self.silo_count > self.agents):
+            bad["silo_count"] = (f"silo_count (integer in [1, {self.agents}] required, "
+                                 f"got {self.silo_count!r})")
+        if bad:
+            raise ConfigError("invalid config: " + "; ".join(bad.values()),
+                              fields=list(bad))
 
 
 def _encodes(encode, value: str) -> bool:
@@ -124,8 +254,6 @@ def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
     unknown = sorted((data.keys() | overrides.keys()) - _TOP_LEVEL_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}", fields=unknown)
-    if "master_seed" not in data:
-        raise ConfigError("missing required field master_seed", fields=["master_seed"])
     data = {**data, **overrides}
 
     arm_entries = data.get("arms")
@@ -144,12 +272,10 @@ def parse_config_dict(data: dict, **overrides) -> ExperimentSpec:
         unknown = sorted(set(entry) - _ARM_KEYS)
         if unknown:
             raise ConfigError(f"arm {i}: unknown keys: {', '.join(unknown)}", fields=unknown)
-        for required in ("design", "tendency"):
-            if required not in entry:
-                raise ConfigError(f"arm {i}: missing {required}", fields=[required])
         params = {**shared, **entry, **pinned}
-        config = SimConfig(
-            master_seed=data["master_seed"], design=entry["design"], tendency=entry["tendency"],
+        config = SimConfig(  # a missing required key is None, which its check refuses
+            master_seed=data.get("master_seed"), design=entry.get("design"),
+            tendency=entry.get("tendency"),
             **{k: tuple(v) if isinstance(v, list) else v
                for k, v in params.items() if k in _PARAMS})
         arms.append(Arm(entry.get("label", f"{config.design}+{config.tendency}"), config))
@@ -262,6 +388,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     spec.validate()
     arms = sorted(spec.arms, key=lambda arm: arm.label)
     out = Path(spec.out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)  # before any replicate runs: a bad out_dir fails first
 
     blocks = [(arm.label, arm.config, start,
@@ -271,9 +398,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentOutput:
     cpu = os.cpu_count() or 1
     workers = min(spec.workers or cpu, cpu, len(blocks))
     results: dict[str, list[ReplicateResult]] = {arm.label: [] for arm in arms}
-    with _block_map(workers) as block_map:  # blocks come back in submission order
-        for label, block in zip(labels, block_map(_run_block, *columns)):
-            results[label] += block
+    try:
+        with _block_map(workers) as block_map:  # blocks come back in submission order
+            for label, block in zip(labels, block_map(_run_block, *columns)):
+                results[label] += block
+    except BaseException:  # Ctrl-C too: take back an out this run made, if still empty
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
 
     summaries = [aggregate_arm(arm.label, [r.group_convergence for r in results[arm.label]],
                                [r.first_any_hit for r in results[arm.label]],

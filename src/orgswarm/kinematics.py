@@ -10,7 +10,7 @@ bit flips stochastically: after clamping to [-v_max, +v_max], each new bit is
 broadcast, so they apply both to one agent's length-D vectors and to
 whole-swarm (N, D) matrices (with per-agent coefficients shaped (N, 1)).
 Arguments are not re-checked here: the engine passes only values that
-:meth:`orgswarm.engine.SimConfig.validate` accepted.
+:meth:`orgswarm.experiment.SimConfig.validate` accepted.
 Each function takes an optional numpy-style ``out``, a float array of the
 result's shape (possibly the velocity argument) that receives the result.
 """

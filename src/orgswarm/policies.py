@@ -11,7 +11,7 @@ bit: ema' = signal, and ``delta * (p + (1 - p))`` is ``delta`` at every p.
 
 The functions are elementwise over agents and take C1 and C2 stacked as one
 ``(2, ...)`` array. They do not re-check their parameters: the engine passes
-only values that :meth:`orgswarm.engine.SimConfig.validate` accepted.
+only values that :meth:`orgswarm.experiment.SimConfig.validate` accepted.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ Three designs constrain which "most fit" reference each agent can see:
 * dynamic -- siloed, but the partition is redrawn every ``reshuffle_interval``
   iterations.
 
-A design is three plain :class:`~orgswarm.engine.SimConfig` fields:
+A design is three plain :class:`~orgswarm.experiment.SimConfig` fields:
 ``design``, one of the strings in :data:`DESIGNS`, ``silo_count`` and
 ``reshuffle_interval``. They are checked there once; the functions here take
 them as given.

@@ -304,11 +304,11 @@ class TestRun:
         assert (out_dir / "summary.csv").exists()
 
     def test_invariant_violation_exit_3(self, tmp_path, monkeypatch):
-        from orgswarm import errors
+        from orgswarm.experiment import InvariantViolation
         import orgswarm.cli as cli_mod
 
         def boom(spec):
-            raise errors.InvariantViolation("a worker process died")
+            raise InvariantViolation("a worker process died")
 
         monkeypatch.setattr(cli_mod, "run_experiment", boom)
         rc = main(["run", "--config", write_config(tmp_path, TINY)])
@@ -356,10 +356,21 @@ class TestRun:
         assert "agents" in err and "dim" in err
 
     def test_out_of_memory_at_trace_full_leaves_out_empty(self, tmp_path, capsys):
-        # the engine fails before a replicate ends, so no trace directory is made
+        # the engine fails before a replicate ends, so no trace directory is made,
+        # and the run takes back the --out it made
         config = {"master_seed": 1, "replicates": 1, "agents": 1_000_000_000,
                   "dim": 10_000_000, "workers": 1, "trace": "full"}
         out_dir = tmp_path / "out"
+        rc = main(["run", "--config", write_config(tmp_path, config), "--out", str(out_dir)])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("out of memory: ")
+        assert not out_dir.exists()
+
+    def test_out_of_memory_keeps_an_out_that_was_there(self, tmp_path, capsys):
+        config = {"master_seed": 1, "replicates": 1, "agents": 1_000_000_000,
+                  "dim": 10_000_000, "workers": 1, "trace": "full"}
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
         rc = main(["run", "--config", write_config(tmp_path, config), "--out", str(out_dir)])
         assert rc == 5
         assert capsys.readouterr().err.startswith("out of memory: ")

@@ -68,6 +68,23 @@ class TestParseConfig:
             parse_config_dict({"dim": 10})
         assert "master_seed" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["master_seed", "design", "tendency"])
+    def test_missing_required_key_fails_as_null_does(self, key):
+        errors = []
+        for missing in (True, False):
+            arm = {"design": "siloed", "tendency": "reactive"}
+            data = {"master_seed": 1, "arms": [arm]}
+            target = data if key == "master_seed" else arm
+            if missing:
+                del target[key]
+            else:
+                target[key] = None
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict(data)
+            errors.append((str(err.value), err.value.fields))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == [key]
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config_dict({"master_seed": 1, "dimensions": 10})
@@ -175,6 +192,9 @@ class TestParseConfig:
         arms = [{"design": "siloed", "tendency": "reactive", "replicates": 7}]
         out = parse_config_dict({**TINY, "arms": arms}, replicates=2)
         assert out.arms[0].config.replicates == 2
+        # a seed override supplies a missing master_seed
+        seedless = {k: v for k, v in TINY.items() if k != "master_seed"}
+        assert parse_config_dict(seedless, master_seed=5).arms[0].config.master_seed == 5
 
     @pytest.mark.parametrize("override,field", [
         ({"workers": 0}, "workers"), ({"workers": -1}, "workers"),
@@ -279,6 +299,29 @@ class TestRunExperiment:
             run_experiment(ExperimentSpec(workers=1, **spec), **out)
         assert err.value.fields == [field]
         assert not any(tmp_path.iterdir())
+
+    def test_interrupted_run_takes_back_the_empty_out_it_made(self, tmp_path, monkeypatch):
+        from orgswarm import experiment
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "_run_block", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(parse_config_dict(dict(TINY)), out_dir=tmp_path / "out")
+        assert not any(tmp_path.iterdir())
+
+    def test_failed_run_keeps_the_files_it_wrote(self, tmp_path, monkeypatch):
+        from orgswarm import experiment
+
+        def write_then_fail(config, start, trace_dir):
+            _run_block(config, start, trace_dir)
+            raise MemoryError
+
+        monkeypatch.setattr(experiment, "_run_block", write_then_fail)
+        with pytest.raises(MemoryError):
+            run_experiment(parse_config_dict({**TINY, "trace": "full"}), out_dir=tmp_path / "out")
+        assert list((tmp_path / "out" / "traces").rglob("replicate_*.csv"))
 
     def test_summaries_match_results(self, tiny_output):
         output, _ = tiny_output
